@@ -26,6 +26,7 @@ from .results import (
 from .shm import SnapshotTransport, shm_available
 from .runner import (
     autodetect_workers,
+    check_cycle_cache,
     run_campaign,
     run_pool,
     run_scenario,
@@ -51,7 +52,7 @@ __all__ = [
     "SnapshotTransport", "shm_available",
     "ScenarioResult", "aggregate", "canonical_execution_telemetry",
     "deterministic_report", "render_summary", "report_json",
-    "autodetect_workers", "run_campaign", "run_pool", "run_scenario",
+    "autodetect_workers", "check_cycle_cache", "run_campaign", "run_pool", "run_scenario",
     "run_serial",
     "FACTORIES", "Scenario", "chaos_campaign", "config_sweep_campaign",
     "fault_matrix_campaign", "load_campaign_spec", "register_factory",

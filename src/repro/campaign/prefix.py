@@ -438,8 +438,7 @@ class SnapshotCache:
 def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
                        plan: PrefixPlan,
                        base_snapshot: Optional[SimulatorSnapshot],
-                       base_depth: int, *, backend: str,
-                       check_interval: int,
+                       base_depth: int, *, check_interval: int,
                        transport=None) -> Optional[SimulatorSnapshot]:
     """Build, cache and publish the plan's missing checkpoints.
 
@@ -461,7 +460,7 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
         config = scenario.build_config()
         cursor = 0
         if base_snapshot is not None:
-            simulator = base_snapshot.restore(config, backend=backend)
+            simulator = base_snapshot.restore(config)
             cursor = base_depth
         else:
             root_depth, root_key, root_tick = plan.capture_levels[0]
@@ -469,9 +468,9 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
                     if root_depth == 0 else None)
             if base is not None:
                 simulator = SimulatorSnapshot.from_bytes(
-                    base[1]).restore(config, backend=backend)
+                    base[1]).restore(config)
             else:
-                simulator = Simulator(config, backend=backend)
+                simulator = Simulator(config)
         injector = FaultInjector(simulator)
         if base_snapshot is not None and base_snapshot.extras:
             state = base_snapshot.extras.get("injector")
@@ -489,7 +488,7 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
                 # shallower span — attach and jump instead of rebuilding.
                 fetched = transport.fetch(key, tick)
                 if fetched is not None:
-                    simulator = fetched.restore(config, backend=backend)
+                    simulator = fetched.restore(config)
                     injector = FaultInjector(simulator)
                     if fetched.extras:
                         state = fetched.extras.get("injector")
@@ -518,7 +517,6 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
                           timeout_s: Optional[float] = None,
                           check_interval: int = 20_000,
                           quantum: Ticks = PREFIX_QUANTUM,
-                          backend: str = "reference",
                           cycle_cache: bool = False,
                           plan: Optional[PrefixPlan] = None,
                           transport=None,
@@ -558,10 +556,11 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
         raise ValueError(f"quantum must be >= 1, got {quantum}")
     if getattr(scenario, "is_constellation", False):
         # Constellations never fork from snapshots; run_scenario
-        # dispatches to the constellation runner.
+        # dispatches to the constellation runner (and refuses
+        # *cycle_cache* there).
         return run_scenario(scenario, timeout_s=timeout_s,
                             check_interval=check_interval,
-                            backend=backend, publisher=publisher,
+                            cycle_cache=cycle_cache, publisher=publisher,
                             artifacts=artifacts)
     if plan is not None:
         snapshot = None
@@ -577,21 +576,21 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
                 found_depth < plan.capture_levels[-1][0]:
             built = _build_plan_levels(
                 scenario, cache, plan, snapshot, found_depth,
-                backend=backend, check_interval=check_interval,
+                check_interval=check_interval,
                 transport=transport)
             if built is not None:
                 snapshot = built
         return run_scenario(scenario, timeout_s=timeout_s,
                             check_interval=check_interval,
                             from_snapshot=snapshot,
-                            backend=backend, cycle_cache=cycle_cache,
+                            cycle_cache=cycle_cache,
                             publisher=publisher,
                             artifacts=artifacts)
     snap_tick = (divergence_tick(scenario) // quantum) * quantum
     if snap_tick < MIN_PREFIX_TICKS:
         return run_scenario(scenario, timeout_s=timeout_s,
                             check_interval=check_interval,
-                            backend=backend, cycle_cache=cycle_cache,
+                            cycle_cache=cycle_cache,
                             publisher=publisher,
                             artifacts=artifacts)
     fingerprint = scenario_fingerprint(scenario)
@@ -602,9 +601,9 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
             config = scenario.build_config()
             if base is not None:
                 simulator = SimulatorSnapshot.from_bytes(
-                    base[1]).restore(config, backend=backend)
+                    base[1]).restore(config)
             else:
-                simulator = Simulator(config, backend=backend)
+                simulator = Simulator(config)
             simulator.run_fast(snap_tick - simulator.now)
             snapshot = SimulatorSnapshot.capture(simulator)
             cache.put(fingerprint, snap_tick, snapshot.to_bytes(), snapshot)
@@ -613,6 +612,6 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
     return run_scenario(scenario, timeout_s=timeout_s,
                         check_interval=check_interval,
                         from_snapshot=snapshot,
-                        backend=backend, cycle_cache=cycle_cache,
+                        cycle_cache=cycle_cache,
                         publisher=publisher,
                         artifacts=artifacts)

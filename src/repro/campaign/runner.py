@@ -120,11 +120,25 @@ def _note_cycle_stats(simulator) -> None:
         _CYCLE_CACHE_TOTALS[key] = _CYCLE_CACHE_TOTALS.get(key, 0) + value
 
 
+def check_cycle_cache(scenarios: Sequence[Scenario],
+                      cycle_cache: bool) -> None:
+    """Raise :class:`ValueError` if *cycle_cache* is set and any scenario
+    is a constellation, instead of silently running it without the
+    cache."""
+    if not cycle_cache:
+        return
+    for scenario in scenarios:
+        if getattr(scenario, "is_constellation", False):
+            raise ValueError(
+                f"cycle_cache is not supported for constellation "
+                f"scenarios ({scenario.scenario_id!r}): it memoizes a "
+                f"single simulator, not lockstep nodes")
+
+
 def run_scenario(scenario: Scenario, *,
                  timeout_s: Optional[float] = None,
                  check_interval: int = TIMEOUT_CHECK_INTERVAL,
                  from_snapshot: Optional[SimulatorSnapshot] = None,
-                 backend: str = "reference",
                  cycle_cache: bool = False,
                  publisher=None,
                  artifacts: Optional[ScenarioArtifacts] = None
@@ -152,13 +166,11 @@ def run_scenario(scenario: Scenario, *,
     contract); only the nondeterministic ``forked_at_tick`` field records
     that a fork happened.
 
-    *backend* selects the execution backend
-    (:data:`repro.kernel.simulator.BACKENDS`); the fast backend is
-    bit-identical to the reference, so campaign digests are independent
-    of it.  *cycle_cache* arms steady-state MTF memoization (DESIGN
-    decision 13) on the scenario's simulator — the same bit-identity
-    contract, so digests are independent of it too; its host-side hit
-    counters accumulate into the per-worker execution sidecar.
+    *cycle_cache* arms steady-state MTF memoization (DESIGN decision 13)
+    on the scenario's simulator — a bit-identity contract, so campaign
+    digests are independent of it; its host-side hit counters accumulate
+    into the per-worker execution sidecar.  Constellation scenarios
+    cannot arm it: *cycle_cache* with one raises :class:`ValueError`.
 
     Unless the scenario opts out (``oracle=False``), the finished trace is
     audited by the TSP invariant oracle
@@ -182,12 +194,10 @@ def run_scenario(scenario: Scenario, *,
     if getattr(scenario, "is_constellation", False):
         from ..constellation.runner import run_constellation_scenario
 
-        # Constellations run N lockstep nodes whose simulators the node
-        # runner owns; cycle memoization is a single-simulator feature
-        # and is simply not armed there.
+        check_cycle_cache([scenario], cycle_cache)
         return run_constellation_scenario(
             scenario, timeout_s=timeout_s, check_interval=check_interval,
-            backend=backend, publisher=publisher, artifacts=artifacts)
+            publisher=publisher, artifacts=artifacts)
     start = time.perf_counter()
     if check_interval < 1:
         raise ValueError(
@@ -200,14 +210,13 @@ def run_scenario(scenario: Scenario, *,
     try:
         config = scenario.build_config()
         if from_snapshot is not None:
-            simulator = from_snapshot.restore(config, backend=backend,
+            simulator = from_snapshot.restore(config,
                                               cycle_cache=cycle_cache)
             forked_at = simulator.now
             if publisher is not None:
                 publisher.scenario_forked(scenario.scenario_id, forked_at)
         else:
-            simulator = Simulator(config, backend=backend,
-                                  cycle_cache=cycle_cache)
+            simulator = Simulator(config, cycle_cache=cycle_cache)
         injector = FaultInjector(simulator)
         applied = 0
         if from_snapshot is not None and from_snapshot.extras:
@@ -370,7 +379,7 @@ def _worker_transport(run_id: Optional[str]):
 
 def _run_one(scenario: Scenario, *, timeout_s: Optional[float],
              check_interval: int, prefix_cache: bool,
-             backend: str, cycle_cache: bool = False,
+             cycle_cache: bool = False,
              artifacts: Optional[ScenarioArtifacts] = None
              ) -> ScenarioResult:
     """One unit of campaign work, with or without prefix sharing."""
@@ -378,7 +387,7 @@ def _run_one(scenario: Scenario, *, timeout_s: Optional[float],
     if not prefix_cache:
         return run_scenario(scenario, timeout_s=timeout_s,
                             check_interval=check_interval,
-                            backend=backend, cycle_cache=cycle_cache,
+                            cycle_cache=cycle_cache,
                             publisher=publisher,
                             artifacts=artifacts)
     from .prefix import run_with_prefix_cache
@@ -386,20 +395,20 @@ def _run_one(scenario: Scenario, *, timeout_s: Optional[float],
     return run_with_prefix_cache(scenario, _worker_cache(),
                                  timeout_s=timeout_s,
                                  check_interval=check_interval,
-                                 backend=backend, cycle_cache=cycle_cache,
+                                 cycle_cache=cycle_cache,
                                  publisher=publisher,
                                  artifacts=artifacts)
 
 
-def _pool_worker(payload: Tuple[Scenario, Optional[float], int, bool, str,
+def _pool_worker(payload: Tuple[Scenario, Optional[float], int, bool,
                                 bool, Optional[ScenarioArtifacts]]
                  ) -> ScenarioResult:
-    (scenario, timeout_s, check_interval, prefix_cache, backend,
-     cycle_cache, artifacts) = payload
+    (scenario, timeout_s, check_interval, prefix_cache, cycle_cache,
+     artifacts) = payload
     return _run_one(scenario, timeout_s=timeout_s,
                     check_interval=check_interval,
                     prefix_cache=prefix_cache,
-                    backend=backend, cycle_cache=cycle_cache,
+                    cycle_cache=cycle_cache,
                     artifacts=artifacts)
 
 
@@ -413,8 +422,8 @@ def _group_worker(payload):
     (keyed by pid on the parent side; later tasks from the same worker
     simply overwrite with larger counts).
     """
-    (indices, group, plans, timeout_s, check_interval, backend,
-     cycle_cache, run_id, artifacts) = payload
+    (indices, group, plans, timeout_s, check_interval, cycle_cache,
+     run_id, artifacts) = payload
     from .prefix import run_with_prefix_cache
 
     cache = _worker_cache()
@@ -423,7 +432,7 @@ def _group_worker(payload):
     results = [
         run_with_prefix_cache(scenario, cache, timeout_s=timeout_s,
                               check_interval=check_interval,
-                              backend=backend, cycle_cache=cycle_cache,
+                              cycle_cache=cycle_cache,
                               plan=plan,
                               transport=transport, publisher=publisher,
                               artifacts=artifacts)
@@ -474,7 +483,6 @@ def run_serial(scenarios: Sequence[Scenario], *,
                timeout_s: Optional[float] = None,
                check_interval: int = TIMEOUT_CHECK_INTERVAL,
                prefix_cache: bool = True,
-               backend: str = "reference",
                cycle_cache: bool = False,
                prefix_depth: Optional[int] = None,
                telemetry: Optional[Dict] = None,
@@ -507,7 +515,7 @@ def run_serial(scenarios: Sequence[Scenario], *,
     if not prefix_cache:
         results = [run_scenario(scenario, timeout_s=timeout_s,
                                 check_interval=check_interval,
-                                backend=backend, cycle_cache=cycle_cache,
+                                cycle_cache=cycle_cache,
                                 publisher=publisher,
                                 artifacts=artifacts)
                    for scenario in scenarios]
@@ -525,8 +533,7 @@ def run_serial(scenarios: Sequence[Scenario], *,
     results = [
         run_with_prefix_cache(
             scenario, cache, timeout_s=timeout_s,
-            check_interval=check_interval, backend=backend,
-            cycle_cache=cycle_cache,
+            check_interval=check_interval, cycle_cache=cycle_cache,
             plan=None if plans is None else plans[scenario.scenario_id],
             publisher=publisher, artifacts=artifacts)
         for scenario in scenarios]
@@ -586,7 +593,6 @@ def run_pool(scenarios: Sequence[Scenario], *,
              timeout_s: Optional[float] = None,
              check_interval: int = TIMEOUT_CHECK_INTERVAL,
              prefix_cache: bool = True,
-             backend: str = "reference",
              cycle_cache: bool = False,
              prefix_depth: Optional[int] = None,
              locality: bool = True,
@@ -633,7 +639,7 @@ def run_pool(scenarios: Sequence[Scenario], *,
         return run_serial(scenarios, timeout_s=timeout_s,
                           check_interval=check_interval,
                           prefix_cache=prefix_cache,
-                          backend=backend, cycle_cache=cycle_cache,
+                          cycle_cache=cycle_cache,
                           prefix_depth=prefix_depth,
                           telemetry=telemetry, bus=bus,
                           artifacts=artifacts)
@@ -657,7 +663,7 @@ def run_pool(scenarios: Sequence[Scenario], *,
             # on this.
             chunksize = max(1, len(scenarios) // (workers * 4))
         payloads = [(scenario, timeout_s, check_interval, prefix_cache,
-                     backend, cycle_cache, artifacts)
+                     cycle_cache, artifacts)
                     for scenario in scenarios]
         with context.Pool(processes=workers, initializer=initializer,
                           initargs=initargs) as pool:
@@ -701,8 +707,8 @@ def run_pool(scenarios: Sequence[Scenario], *,
                 tuple(chunk),
                 tuple(scenarios[i] for i in chunk),
                 tuple(plans[scenarios[i].scenario_id] for i in chunk),
-                timeout_s, check_interval, backend, cycle_cache,
-                run_id, artifacts))
+                timeout_s, check_interval, cycle_cache, run_id,
+                artifacts))
 
     if transport is not None and split_groups:
         # Pre-build each split group's checkpoint chain once in the
@@ -721,7 +727,7 @@ def run_pool(scenarios: Sequence[Scenario], *,
             plan = plans[scenario.scenario_id]
             if plan.capture_levels:
                 _build_plan_levels(scenario, prebuild_cache, plan,
-                                   None, -1, backend=backend,
+                                   None, -1,
                                    check_interval=check_interval,
                                    transport=transport)
 
@@ -774,7 +780,6 @@ def run_campaign(scenarios: Sequence[Scenario], *,
                  timeout_s: Optional[float] = None,
                  check_interval: int = TIMEOUT_CHECK_INTERVAL,
                  prefix_cache: bool = True,
-                 backend: str = "reference",
                  cycle_cache: bool = False,
                  prefix_depth: Optional[int] = None,
                  locality: bool = True,
@@ -790,19 +795,24 @@ def run_campaign(scenarios: Sequence[Scenario], *,
     every deterministic output — campaign digest, trace digests, oracle
     verdicts — byte-identical to a run without them, as does
     *cycle_cache* (steady-state MTF memoization, off by default).
+
+    Raises :class:`ValueError` before running anything when
+    *cycle_cache* is set and any scenario is a constellation: the cache
+    memoizes a single simulator and is never armed on lockstep nodes.
     """
+    check_cycle_cache(scenarios, cycle_cache)
     if workers <= 1:
         return run_serial(scenarios, timeout_s=timeout_s,
                           check_interval=check_interval,
                           prefix_cache=prefix_cache,
-                          backend=backend, cycle_cache=cycle_cache,
+                          cycle_cache=cycle_cache,
                           prefix_depth=prefix_depth,
                           telemetry=telemetry, bus=bus,
                           artifacts=artifacts)
     return run_pool(scenarios, workers=workers, chunksize=chunksize,
                     timeout_s=timeout_s, check_interval=check_interval,
                     prefix_cache=prefix_cache,
-                    backend=backend, cycle_cache=cycle_cache,
+                    cycle_cache=cycle_cache,
                     prefix_depth=prefix_depth,
                     locality=locality, shm=shm, telemetry=telemetry,
                     bus=bus, artifacts=artifacts)

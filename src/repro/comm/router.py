@@ -202,7 +202,14 @@ class CommRouter:
         return earliest
 
     def pump(self, now: Ticks) -> int:
-        """Advance all remote links to *now*; returns deliveries performed."""
+        """Advance all remote links to *now*; returns deliveries performed.
+
+        Returns at once while the memoized delivery horizon lies in the
+        future: no link could deliver, so advancing them is a no-op.
+        """
+        delivery = self.next_delivery_tick()
+        if delivery is None or delivery > now:
+            return 0
         delivered = 0
         for channel in self._linked:
             delivered += channel.link.pump(now)

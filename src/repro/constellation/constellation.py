@@ -94,8 +94,7 @@ class Node:
 class Constellation:
     """N AIR nodes in deterministic lockstep over an inter-node fabric."""
 
-    def __init__(self, config: ConstellationConfig, seed: int, *,
-                 backend: str = "reference") -> None:
+    def __init__(self, config: ConstellationConfig, seed: int) -> None:
         self.config = config
         self.seed = seed
         self.now: Ticks = 0
@@ -109,7 +108,7 @@ class Constellation:
         for index in range(config.nodes):
             node_seed = seeds.fork(f"node-{index}").seed
             system = factory(seed=node_seed, **dict(config.factory_kwargs))
-            simulator = Simulator(system, backend=backend)
+            simulator = Simulator(system)
             self.system_configs.append(system)
             self.nodes.append(Node(index, simulator,
                                    config.heartbeat_timeout))
@@ -172,8 +171,8 @@ class Constellation:
         """Advance the whole constellation by *ticks*.
 
         Returns False if *should_abort* tripped (the campaign wall-clock
-        budget), True on normal completion.  Bit-identical for both
-        simulator backends and any abort-poll cadence.
+        budget), True on normal completion.  Bit-identical for any
+        abort-poll cadence.
         """
         target = self.now + ticks
         while self.now < target:
@@ -358,7 +357,7 @@ class Constellation:
     def combined_digest(self) -> str:
         """One digest over every node trace + fabric + protocol record.
 
-        Byte-identical across backends, worker counts and abort-poll
+        Byte-identical across worker counts and abort-poll
         cadences — the constellation's extension of the single-node
         trace-digest invariant.
         """

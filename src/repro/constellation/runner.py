@@ -11,8 +11,8 @@ observation log — and compact everything into one
 :class:`~repro.campaign.results.ScenarioResult`.  The result's
 ``trace_digest`` is the constellation's *combined* digest (node traces +
 fabric events + protocol record), so campaign digests inherit
-byte-identity across worker counts and backends from the lockstep
-loop's determinism.
+byte-identity across worker counts from the lockstep loop's
+determinism.
 """
 
 from __future__ import annotations
@@ -135,7 +135,6 @@ def run_constellation_scenario(
         scenario: ConstellationScenario, *,
         timeout_s: Optional[float] = None,
         check_interval: int = 20_000,
-        backend: str = "reference",
         publisher=None,
         artifacts: Optional[ScenarioArtifacts] = None) -> ScenarioResult:
     """Execute one constellation scenario to completion, failure or timeout.
@@ -155,7 +154,7 @@ def run_constellation_scenario(
         publisher.scenario_started(scenario.scenario_id, scenario.ticks)
     try:
         constellation = Constellation(scenario.constellation,
-                                      scenario.seed, backend=backend)
+                                      scenario.seed)
         for tick, fault in scenario.faults:
             constellation.schedule_fault(tick, fault)
         for node_index, tick, fault in scenario.node_faults:

@@ -142,7 +142,8 @@ class Pmk(ModuleControl, ActionExecutor):
                 trace=trace)
             self.health_monitor.supervisor = self.fdir
 
-        #: Optional host-time profiler (``Simulator.enable_profiling``).
+        #: Host-time profiler set by ``Simulator.enable_profiling``; the
+        #: cycle cache reads it to keep profiled runs fully live.
         self.profiler = None
         self.ticks_executed = 0
         self.idle_ticks = 0
@@ -397,70 +398,23 @@ class Pmk(ModuleControl, ActionExecutor):
         4. one tick of process execution in the active partition
            (the second scheduling level, eq. (14));
         5. pump of in-flight remote interpartition messages.
+
+        Steps 1, 4 and 5 lean on memoized state without changing what
+        they compute: off-match ticks settle Algorithm 1's line-2
+        statistics directly (the scheduler horizon already knows no table
+        entry matches), the POS reuses its last heir while no scheduling
+        state changed, and the router pump returns at once while its
+        delivery horizon lies in the future.
         """
         if self.stopped:
-            return
-        if self.profiler is not None:
-            self._profiled_tick()
             return
         now = self.time.now
         self.ticks_executed += 1
         if self.fdir is not None:
             self.fdir.poll(now)
         elapsed: Ticks = 1
-        if self.scheduler.tick(now):
-            active = self.dispatcher.active_partition
-            running = (self.runtimes[active].pos.running
-                       if active is not None else None)
-            outcome = self.dispatcher.run(
-                now, running_process=running.name if running else None)
-            elapsed = outcome.elapsed_ticks
-        active = self.dispatcher.active_partition
-        if active is None:
-            self.idle_ticks += 1
-        else:
-            self.partition_ticks[active] += 1
-            runtime = self.runtimes[active]
-            runtime.pal.announce_ticks(elapsed)
-            if not self.stopped:
-                executed = runtime.execute_tick(now)
-                if executed is not None and self._memory_probes:
-                    self._emulate_memory_traffic(active, now)
-        self.router.pump(now)
-
-    def clock_tick_fast(self, now: Ticks) -> None:
-        """:meth:`clock_tick` mirror for the fast execution backend.
-
-        Behaviourally identical to the reference ISR (asserted by the
-        backend equivalence matrices), with the profile-guided shortcuts:
-
-        * *now* is passed in by the driving loop instead of re-read from
-          the time source;
-        * Algorithm 1 runs only at preemption points — the memoized
-          scheduler horizon already knows whether this tick matches a
-          table entry, so off-match ticks settle the statistics without
-          re-deriving the table offset;
-        * partition execution goes through the POS dispatch memo
-          (:meth:`~repro.pos.base.PartitionOs.execute_tick_fast`);
-        * the router pump is skipped while the memoized delivery horizon
-          lies in the future (the pump would be a no-op).
-
-        Kept as a mirror rather than inline conditionals in
-        :meth:`clock_tick` so the reference ISR stays untouched.
-        """
-        if self.stopped:
-            return
-        if self.profiler is not None:
-            self._profiled_tick()
-            return
-        self.ticks_executed += 1
-        if self.fdir is not None:
-            self.fdir.poll(now)
-        elapsed: Ticks = 1
         scheduler = self.scheduler
         if scheduler.next_preemption_tick(now) > now:
-            # Off-match tick: Algorithm 1 would take its fast path and
-            # return False — settle its statistics directly.
             stats = scheduler.stats
             stats.ticks += 1
             stats.fast_path += 1
@@ -477,71 +431,12 @@ class Pmk(ModuleControl, ActionExecutor):
         else:
             self.partition_ticks[active] += 1
             runtime = self.runtimes[active]
-            # Inlined pal.announce_ticks_fast: native POS announcement,
-            # then the Algorithm 3 verification (whose check/comparison
-            # counters are deterministic state — it must run on every
-            # stepped announcement to stay bit-identical).
-            pal = runtime.pal
-            pal.pos.announce_ticks(now, elapsed)
-            pal.monitor.verify(now)
-            if not self.stopped:
-                executed = runtime.execute_tick_fast(now)
-                if executed is not None and self._memory_probes:
-                    self._emulate_memory_traffic(active, now)
-        router = self.router
-        delivery = router.next_delivery_tick()
-        if delivery is not None and delivery <= now:
-            router.pump(now)
-
-    def _profiled_tick(self) -> None:
-        """`clock_tick` with ``perf_counter`` probes around each subsystem.
-
-        Behaviourally identical to the unprofiled body (asserted by the
-        profiling equivalence test); kept as a mirror rather than inline
-        conditionals so the unprofiled hot path stays probe-free.
-        """
-        from time import perf_counter
-
-        profiler = self.profiler
-        now = self.time.now
-        self.ticks_executed += 1
-        if self.fdir is not None:
-            t0 = perf_counter()
-            self.fdir.poll(now)
-            profiler.record("fdir", perf_counter() - t0)
-        elapsed: Ticks = 1
-        t0 = perf_counter()
-        preempt = self.scheduler.tick(now)
-        profiler.record("scheduler", perf_counter() - t0)
-        if preempt:
-            active = self.dispatcher.active_partition
-            running = (self.runtimes[active].pos.running
-                       if active is not None else None)
-            t0 = perf_counter()
-            outcome = self.dispatcher.run(
-                now, running_process=running.name if running else None)
-            profiler.record("dispatcher", perf_counter() - t0)
-            elapsed = outcome.elapsed_ticks
-        active = self.dispatcher.active_partition
-        if active is None:
-            self.idle_ticks += 1
-        else:
-            self.partition_ticks[active] += 1
-            runtime = self.runtimes[active]
-            t0 = perf_counter()
             runtime.pal.announce_ticks(elapsed)
-            profiler.record("pal", perf_counter() - t0)
             if not self.stopped:
-                t0 = perf_counter()
                 executed = runtime.execute_tick(now)
-                profiler.record("runtime", perf_counter() - t0)
                 if executed is not None and self._memory_probes:
-                    t0 = perf_counter()
                     self._emulate_memory_traffic(active, now)
-                    profiler.record("memory", perf_counter() - t0)
-        t0 = perf_counter()
         self.router.pump(now)
-        profiler.record("router", perf_counter() - t0)
 
     # -------------------------------------------------------------- #
     # event-driven execution core
@@ -600,15 +495,6 @@ class Pmk(ModuleControl, ActionExecutor):
         inherently per-tick (addresses walk with the clock), so they are
         batch-sampled in a tight loop — still far cheaper than full ISRs.
         """
-        if self.profiler is not None:
-            from time import perf_counter
-            t0 = perf_counter()
-            self._execute_span(now, ticks)
-            self.profiler.record("execute_span", perf_counter() - t0)
-            return
-        self._execute_span(now, ticks)
-
-    def _execute_span(self, now: Ticks, ticks: Ticks) -> None:
         self.ticks_executed += ticks
         self.scheduler.batch_account(ticks)
         active = self.dispatcher.active_partition

@@ -124,28 +124,18 @@ class PartitionRuntime(PartitionControl):
         Initialization (when in a start mode) happens here, consuming the
         tick — a real partition's init code also runs inside its windows.
         Returns the name of the process that consumed the tick, or None.
+        NORMAL mode implies no pending restart (a restart request moves
+        the mode to coldStart/warmStart immediately), so the common case
+        goes straight to the POS.
         """
+        if self._mode is PartitionMode.NORMAL:
+            return self.pos.execute_tick(now)
         if self._pending_restart is not None:
             self._pending_restart = None
             self._initialized = False
         if self._mode.is_starting and not self._initialized:
-            self._initialize()
-            return None  # the initialization consumed this tick
-        if self._mode is not PartitionMode.NORMAL:
-            return None  # idle / still starting: no process execution
-        return self.pos.execute_tick(now)
-
-    def execute_tick_fast(self, now: Ticks) -> Optional[str]:
-        """:meth:`execute_tick` through the POS dispatch memo.
-
-        NORMAL mode implies no pending restart (a restart request moves
-        the mode to coldStart/warmStart immediately), so the restart and
-        initialization ladder only matters off the NORMAL path — those
-        rare ticks are delegated to the reference method wholesale.
-        """
-        if self._mode is PartitionMode.NORMAL:
-            return self.pos.execute_tick_fast(now)
-        return self.execute_tick(now)
+            self._initialize()  # the initialization consumes this tick
+        return None  # idle / starting: no process execution
 
     # -------------------------------------------------------------- #
     # event-driven execution support

@@ -672,8 +672,8 @@ class _Template:
 class CycleCache:
     """Fingerprint-keyed whole-MTF replay for one simulator instance.
 
-    Opt-in (``Simulator(config, cycle_cache=True)``), orthogonal to the
-    execution backend, and bit-identity-preserving by construction: every
+    Opt-in (``Simulator(config, cycle_cache=True)``) and
+    bit-identity-preserving by construction: every
     observable the determinism contract covers — trace bytes, metrics
     digests, deterministic counters, oracle verdicts — is reproduced
     exactly, which the fast-skip/fork/chaos identity matrices assert.
@@ -705,7 +705,7 @@ class CycleCache:
     # -- driver entry point ------------------------------------------ #
 
     def on_boundary(self, now: Ticks, target: Ticks) -> int:
-        """Called by the ``run_fast`` loops each iteration.
+        """Called by the ``run_fast`` loop each iteration.
 
         Returns the number of whole MTFs replayed (0 = step live).  When
         nonzero, the simulator clock, trace, metrics observers and every

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from ..exceptions import ClockTamperingError, SimulationError
-from ..types import Ticks
 
 __all__ = ["Vector", "InterruptController", "IsrRegistration"]
 
@@ -28,6 +27,11 @@ class Vector(enum.Enum):
     MEMORY_FAULT = "memoryFault"
     ILLEGAL_INSTRUCTION = "illegalInstruction"
     EXTERNAL_IO = "externalIo"
+
+    # Members are singletons, so identity hashing is exact; it keeps the
+    # vector-table lookups of every delivery off Enum's Python-level
+    # ``__hash__``.
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -47,14 +51,18 @@ class InterruptController:
     the paravirtualization trap (recorded, and raised as
     :class:`ClockTamperingError` so the POS adaptation layer can route it to
     Health Monitoring).  Multiple handlers may chain on a vector; they run
-    in installation order.
+    in installation order.  Each vector's chain is kept as an immutable
+    tuple, rebuilt on :meth:`install`/:meth:`uninstall`, so a delivery
+    iterates the chain as it stood when the interrupt was raised — a
+    handler that uninstalls itself (or another) mid-chain takes effect
+    from the next delivery on.
     """
 
     PMK_OWNER = "PMK"
 
     def __init__(self) -> None:
-        self._handlers: Dict[Vector, List[IsrRegistration]] = {
-            vector: [] for vector in Vector}
+        self._handlers: Dict[Vector, Tuple[IsrRegistration, ...]] = {
+            vector: () for vector in Vector}
         self._masked: Dict[Vector, bool] = {vector: False for vector in Vector}
         self._dispatch_counts: Dict[Vector, int] = {vector: 0 for vector in Vector}
 
@@ -72,17 +80,19 @@ class InterruptController:
                 partition=owner, operation="install_clock_isr")
         registration = IsrRegistration(vector=vector, owner=owner,
                                        handler=handler)
-        self._handlers[vector].append(registration)
+        self._handlers[vector] += (registration,)
         return registration
 
     def uninstall(self, registration: IsrRegistration) -> None:
         """Remove a previously installed handler."""
+        chain = list(self._handlers[registration.vector])
         try:
-            self._handlers[registration.vector].remove(registration)
+            chain.remove(registration)
         except ValueError:
             raise SimulationError(
                 f"handler by {registration.owner!r} on "
                 f"{registration.vector.value} is not installed") from None
+        self._handlers[registration.vector] = tuple(chain)
 
     def mask(self, vector: Vector, *, owner: str) -> None:
         """Mask *vector*.  The clock vector may only be masked by the PMK."""
@@ -107,7 +117,7 @@ class InterruptController:
         """
         if self._masked[vector]:
             return 0
-        chain = tuple(self._handlers[vector])
+        chain = self._handlers[vector]
         for registration in chain:
             registration.handler()
         self._dispatch_counts[vector] += 1
@@ -115,18 +125,8 @@ class InterruptController:
 
     def handlers_on(self, vector: Vector) -> Tuple[IsrRegistration, ...]:
         """Currently installed handlers on *vector*, in chain order."""
-        return tuple(self._handlers[vector])
+        return self._handlers[vector]
 
     def dispatch_count(self, vector: Vector) -> int:
         """How many times *vector* has been delivered (unmasked)."""
         return self._dispatch_counts[vector]
-
-    def account_bypassed(self, vector: Vector, count: int) -> None:
-        """Settle *count* deliveries performed outside the vector table.
-
-        The fast execution backend calls the PMK clock ISR directly when
-        the clock wiring is provably default (single unmasked PMK
-        handler); this keeps :meth:`dispatch_count` identical to what the
-        reference backend would report.
-        """
-        self._dispatch_counts[vector] += count

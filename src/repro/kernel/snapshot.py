@@ -143,7 +143,6 @@ class SimulatorSnapshot:
     # ------------------------------------------------------------ #
 
     def restore(self, config: SystemConfig, *,
-                backend: str = "reference",
                 cycle_cache: bool = False) -> Simulator:
         """Build a fresh simulator continuing from this checkpoint.
 
@@ -155,11 +154,8 @@ class SimulatorSnapshot:
         body reconstruction happen inside), then the trace — wholesale,
         erasing any events the replays emitted.
 
-        *backend* selects the continuation's execution backend; snapshots
-        are backend-agnostic (they capture deterministic state only), so
-        a checkpoint taken on one backend forks onto any other.
-        *cycle_cache* likewise re-arms steady-state cycle memoization on
-        the continuation — cache state is host-side and never captured.
+        *cycle_cache* re-arms steady-state cycle memoization on the
+        continuation — cache state is host-side and never captured.
         """
         if self.version != SNAPSHOT_VERSION:
             raise SimulationError(
@@ -170,18 +166,16 @@ class SimulatorSnapshot:
             raise SimulationError(
                 f"snapshot/config mismatch: captured {self.identity}, "
                 f"restoring onto {identity}")
-        sim = Simulator(config, backend=backend, cycle_cache=cycle_cache)
+        sim = Simulator(config, cycle_cache=cycle_cache)
         sim.time.restore(self.time)
         sim.pmk.restore(self.pmk)
         sim.trace.restore(self.trace)
         return sim
 
     def fork(self, config: SystemConfig, *,
-             backend: str = "reference",
              cycle_cache: bool = False) -> Simulator:
         """Alias of :meth:`restore` — every call is an independent fork."""
-        return self.restore(config, backend=backend,
-                            cycle_cache=cycle_cache)
+        return self.restore(config, cycle_cache=cycle_cache)
 
     # ------------------------------------------------------------ #
     # process-boundary transport

@@ -9,10 +9,11 @@ batched, ticks skipped vs. stepped), which legitimately differ between
 ``run`` and ``run_fast`` and would break the byte-identity guarantee if
 they lived in the registry.
 
-Enable with ``Simulator.enable_profiling()``; the PMK then routes every
-stepped tick through a timed ISR body.  Per-subsystem wall-time totals are
-accumulated with plain ``perf_counter`` pairs (~100 ns overhead per probe),
-so a profiled run is slower — the point is the *breakdown*, not absolute
+Enable with ``Simulator.enable_profiling()``; it wraps that simulator's
+subsystem entry points with :meth:`SelfProfiler.wrap`, so the ISR body
+itself carries no probes.  Per-subsystem wall-time totals are accumulated
+with plain ``perf_counter`` pairs (~100 ns overhead per probe), so a
+profiled run is slower — the point is the *breakdown*, not absolute
 throughput.
 """
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import json
 from time import perf_counter
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 __all__ = ["SelfProfiler"]
 
@@ -32,13 +33,34 @@ class SelfProfiler:
         self.seconds: Dict[str, float] = {}
         self.calls: Dict[str, int] = {}
         self._started: Optional[float] = None
+        self._inside = False
 
-    # Hot-path accounting: the PMK calls record() with a subsystem label
-    # and a perf_counter delta it measured inline.
     def record(self, subsystem: str, seconds: float) -> None:
         """Add *seconds* of host time to *subsystem*'s total."""
         self.seconds[subsystem] = self.seconds.get(subsystem, 0.0) + seconds
         self.calls[subsystem] = self.calls.get(subsystem, 0) + 1
+
+    def wrap(self, subsystem: str, fn: Callable) -> Callable:
+        """*fn* with its host time recorded under *subsystem*.
+
+        Only the outermost wrapped call is timed: a wrapped entry point
+        reached from inside another (memory probes inside a batched span)
+        counts towards the outer subsystem, so the totals never overlap.
+        """
+        record = self.record
+
+        def timed(*args, **kwargs):
+            if self._inside:
+                return fn(*args, **kwargs)
+            self._inside = True
+            started = perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                record(subsystem, perf_counter() - started)
+                self._inside = False
+
+        return timed
 
     def start(self) -> None:
         """Mark the beginning of the profiled run (for the wall total)."""

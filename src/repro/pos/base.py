@@ -81,6 +81,12 @@ class PartitionOs:
     #: path of the event-driven core).
     has_quantum_horizon = False
 
+    #: True when :meth:`execute_tick` may reuse the last heir while the
+    #: scheduling generation is unchanged.  Policies whose heir choice
+    #: carries per-call state (round-robin rotation in
+    #: :class:`~repro.pos.generic.GenericPos`) turn it off.
+    memoize_dispatch = True
+
     def __init__(self, partition: Partition) -> None:
         self.partition = partition
         self.callbacks = PosCallbacks()
@@ -413,51 +419,28 @@ class PartitionOs:
                                        heir.name if heir else None)
         return heir
 
-    def dispatch_fast(self, now: Ticks) -> Optional[Tcb]:
-        """Memoized :meth:`dispatch` for the fast execution backend.
-
-        When no scheduling-relevant state changed since the last dispatch
-        (same generation), :meth:`dispatch` provably selects the same heir
-        and performs no transition or callback, so the memo returns the
-        running process directly.  The memo is never consulted or stored
-        while the preemption lock is held: the lock makes the heir depend
-        on the lock level, which has no generation of its own.
-
-        Policies whose heir choice carries per-call state (round-robin
-        rotation in :class:`~repro.pos.generic.GenericPos`) must override
-        this back to plain :meth:`dispatch`.
-        """
-        if self._dispatch_generation == self._generation \
-                and not self._preemption_lock:
-            return self._running
-        heir = self.dispatch(now)
-        if not self._preemption_lock:
-            self._dispatch_generation = self._generation
-        return heir
-
     def execute_tick(self, now: Ticks) -> Optional[str]:
         """Run the partition's processes for one tick of window time.
 
         Returns the name of the process that consumed the tick, or ``None``
         if the partition idled (no schedulable process).
+
+        Dispatch is memoized: when no scheduling-relevant state changed
+        since the last dispatch (same generation), :meth:`dispatch`
+        provably selects the same heir and performs no transition or
+        callback, so the running process is reused.  The memo is never
+        consulted or stored while the preemption lock is held: the lock
+        makes the heir depend on the lock level, which has no generation
+        of its own.
         """
         for _ in range(_MAX_ZERO_TIME_STEPS):
-            heir = self.dispatch(now)
-            if heir is None:
-                return None
-            if heir.compute_remaining > 0:
-                heir.compute_remaining -= 1
-                self.on_tick_consumed(heir)
-                return heir.name
-            self._advance_body(heir, now)
-        raise SimulationError(
-            f"partition {self.name!r}: livelock — more than "
-            f"{_MAX_ZERO_TIME_STEPS} zero-time steps at tick {now}")
-
-    def execute_tick_fast(self, now: Ticks) -> Optional[str]:
-        """:meth:`execute_tick` through :meth:`dispatch_fast` (fast backend)."""
-        for _ in range(_MAX_ZERO_TIME_STEPS):
-            heir = self.dispatch_fast(now)
+            if self._dispatch_generation == self._generation \
+                    and not self._preemption_lock:
+                heir = self._running
+            else:
+                heir = self.dispatch(now)
+                if self.memoize_dispatch and not self._preemption_lock:
+                    self._dispatch_generation = self._generation
             if heir is None:
                 return None
             if heir.compute_remaining > 0:

@@ -37,6 +37,10 @@ class GenericPos(PartitionOs):
 
     kernel_name = "generic"
     has_quantum_horizon = True
+    # choose_heir reads (and rotates on) the quantum counter, which
+    # advances without a state-generation bump: every tick must run the
+    # real policy.
+    memoize_dispatch = False
 
     def __init__(self, partition: Partition,
                  quantum: Ticks = DEFAULT_QUANTUM) -> None:
@@ -84,12 +88,6 @@ class GenericPos(PartitionOs):
         if heir is not previous:
             self._ticks_on_current = 0
         return heir
-
-    def dispatch_fast(self, now: Ticks) -> Optional[Tcb]:
-        """Round-robin dispatch cannot be memoized: :meth:`choose_heir`
-        reads (and rotates on) the quantum counter, which advances without
-        a state-generation bump — every call must run the real policy."""
-        return self.dispatch(now)
 
     def on_tick_consumed(self, tcb: Tcb) -> None:
         """Charge the consumed tick against the running quantum."""

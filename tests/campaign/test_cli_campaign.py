@@ -21,6 +21,18 @@ def crashing_spec(tmp_path):
     return str(path)
 
 
+class TestRemovedBackendFlag:
+    @pytest.mark.parametrize("command", [
+        ["campaign", "--suite", "fault-matrix"],
+        ["demo"],
+    ])
+    def test_backend_flag_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--backend", "fast"])
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
+
 class TestCampaignExitCodes:
     def test_clean_campaign_exits_zero(self, tmp_path, capsys):
         report = tmp_path / "report.json"

@@ -2,7 +2,7 @@
 
 The load-bearing invariant: enabling the telemetry bus must not perturb
 the simulation — campaign digests are byte-identical with telemetry on
-vs off, at any worker count, on either backend — and the deterministic
+vs off, at any worker count — and the deterministic
 channel of the event log is itself byte-stable across worker counts.
 """
 
@@ -31,13 +31,13 @@ def small_chaos(crash_scenarios=0):
                           crash_scenarios=crash_scenarios)
 
 
-def run_with_bus(scenarios, *, workers, backend="reference", log_path=None,
+def run_with_bus(scenarios, *, workers, log_path=None,
                  artifacts=None, panel=None):
     bus = TelemetryAggregator(campaign_spec_digest(scenarios),
                               log_path=log_path, panel=panel,
                               total=len(scenarios))
     telemetry: dict = {}
-    results = run_campaign(scenarios, workers=workers, backend=backend,
+    results = run_campaign(scenarios, workers=workers,
                            telemetry=telemetry, bus=bus,
                            artifacts=artifacts)
     return results, telemetry
@@ -51,11 +51,11 @@ class TestTelemetryDoesNotPerturbDigests:
         with_bus, _ = run_with_bus(scenarios, workers=workers)
         assert report_json(with_bus) == report_json(baseline)
 
-    def test_fast_backend_identical_with_bus(self):
+    def test_pooled_bus_matches_serial(self):
         scenarios = small_chaos()
         reference = run_campaign(scenarios, workers=1)
-        fast, _ = run_with_bus(scenarios, workers=2, backend="fast")
-        assert report_json(fast) == report_json(reference)
+        pooled, _ = run_with_bus(scenarios, workers=2)
+        assert report_json(pooled) == report_json(reference)
 
 
 class TestDeterministicChannelByteStability:

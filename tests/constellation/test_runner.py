@@ -1,10 +1,11 @@
 """Constellation runner + campaign integration tests.
 
-The expensive acceptance sweep (50 scenarios x workers {1,2,4} x both
-backends) lives in CI's constellation-smoke job; here a smaller barrage
+The expensive acceptance sweep (50 scenarios x workers {1,2,4}) lives
+in CI's constellation-smoke job; here a smaller barrage
 proves the same invariants so the suite stays fast.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -94,19 +95,20 @@ class TestRunner:
 
 
 class TestCampaignIntegration:
-    def test_digest_identical_across_workers_and_backends(self):
+    def test_digest_identical_across_workers(self):
         scenarios = constellation_campaign(count=6, base_seed=0)
         reports = []
         for workers in (1, 2):
-            for backend in ("reference", "fast"):
-                results = run_campaign(scenarios, workers=workers,
-                                       backend=backend)
-                assert all(r.status == STATUS_OK for r in results), [
-                    (r.scenario_id, r.error) for r in results
-                    if r.status != STATUS_OK]
-                reports.append(json.dumps(
-                    aggregate(results), sort_keys=True))
+            results = run_campaign(scenarios, workers=workers)
+            assert all(r.status == STATUS_OK for r in results), [
+                (r.scenario_id, r.error) for r in results
+                if r.status != STATUS_OK]
+            reports.append(json.dumps(aggregate(results), sort_keys=True))
         assert len(set(reports)) == 1
+        # Pinned from the per-tick clock ISR before it took the event
+        # core's horizon shortcuts.
+        assert hashlib.sha256(reports[0].encode()).hexdigest()[:16] == \
+            "910469dc068bf513"
 
     def test_mixed_spec_loads_both_kinds(self, tmp_path):
         from repro.campaign.scenarios import (
@@ -183,3 +185,50 @@ class TestTelemetryIntegration:
         for event in events:
             assert registry.resolve(event.topic) is not None, event.topic
             assert registry.validate(event.topic, event.channel) == []
+
+
+class TestCycleCacheRefused:
+    """The cycle cache memoizes one simulator; constellations refuse it
+    instead of running without it while reporting it armed."""
+
+    def mixed_spec(self, tmp_path):
+        from repro.campaign.scenarios import chaos_campaign, scenario_to_dict
+
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({"scenarios": [
+            scenario_to_dict(chaos_campaign(count=1, mtfs=4)[0]),
+            constellation_scenario_to_dict(drill()),
+        ]}))
+        return str(path)
+
+    def test_run_campaign_raises_before_running(self, tmp_path):
+        loaded = load_campaign_spec(self.mixed_spec(tmp_path))
+        telemetry = {}
+        with pytest.raises(ValueError, match="cycle_cache"):
+            run_campaign(loaded, cycle_cache=True, telemetry=telemetry)
+        assert telemetry == {}
+        with pytest.raises(ValueError, match="cycle_cache"):
+            run_campaign(loaded, workers=2, cycle_cache=True)
+
+    def test_run_scenario_raises(self):
+        with pytest.raises(ValueError, match="cycle_cache"):
+            run_scenario(drill(), cycle_cache=True)
+
+    def test_single_node_scenarios_still_accept_it(self, tmp_path):
+        loaded = load_campaign_spec(self.mixed_spec(tmp_path))
+        [result] = run_campaign(loaded[:1], cycle_cache=True)
+        assert result.status == STATUS_OK
+
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "constellation", "--scenarios", "1"],
+        ["--spec", None],
+    ])
+    def test_cli_usage_error(self, tmp_path, capsys, argv):
+        from repro.__main__ import main
+
+        argv = [self.mixed_spec(tmp_path) if a is None else a for a in argv]
+        assert main(["campaign", "--cycle-cache"] + argv) == 2
+        captured = capsys.readouterr()
+        assert "--cycle-cache" in captured.err
+        assert "constellation" in captured.err
+        assert captured.out == ""

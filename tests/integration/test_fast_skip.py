@@ -7,11 +7,15 @@ in-flight remote messages, memory-emulation probes, generic-POS quantum
 rotation, deadline misses, mid-window schedule-switch requests and HM
 partition restarts.
 
-The matrix is parametrized over the execution backend: the per-tick
-reference simulator always runs ``backend="reference"``, while the
-``run_fast`` side runs the parametrized backend — so every ``fast`` row
-is a cross-backend bit-identity gate for the profile-guided backend
-(DESIGN.md decision 9).
+Both entry points share one clock-tick ISR, so comparing them cannot
+catch a defect in that ISR.  Every row is therefore also checked against
+a trace digest frozen from the per-tick ISR as it stood before it took
+the event core's horizon shortcuts (off-match scheduler accounting, the
+router-pump skip, the POS dispatch memo).  The matrix is parametrized
+over the driving entry point: ``reference`` rows drive
+:meth:`Simulator.run` (one clock interrupt per tick) and ``fast`` rows
+drive :meth:`Simulator.run_fast`, which must also match a stepped run
+event for event.
 """
 
 import pytest
@@ -24,6 +28,25 @@ from repro.kernel.simulator import Simulator
 from repro.types import ErrorCode, PortDirection, RecoveryAction
 
 from ..conftest import build_two_partition_config, periodic_body, spin_body
+
+
+#: Driving entry point per ``engine`` parameter value.
+ENGINES = {"reference": "run", "fast": "run_fast"}
+
+#: ``trace.digest()`` of each scenario, frozen from the per-tick ISR
+#: before its horizon shortcuts.
+PINNED = {
+    ("sparse_config", 5000): "67e1a43d4ad54b21",
+    ("build_two_partition_config", 3000): "75e09c0a2d1a5f82",
+    ("remote_config", 4000): "832ed30f97dee2c4",
+    ("memory_config", 3000): "75e09c0a2d1a5f82",
+    ("generic_pos_config", 3000): "7bbf11074386910b",
+    ("hm_restart_config", 4000): "c87a107d38befbc5",
+    ("supervised_prototype_config", 4 * 1300 + 137): "958388390e8fbbe2",
+    ("sparse_config", 4000): "93feb8162697b5b7",
+    ("prototype_switches", 6 * 1300 + 137): "93edeffbee1f87ac",
+    ("prototype_faulty", 6 * 1300 + 137): "491e726e43a9b30f",
+}
 
 
 def sparse_config():
@@ -172,7 +195,7 @@ def assert_counters_match(fast, normal):
             == normal.pmk.scheduler.stats.fast_path)
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
+@pytest.mark.parametrize("engine", ["reference", "fast"])
 @pytest.mark.parametrize("make_config,ticks", [
     (sparse_config, 5000),
     (build_two_partition_config, 3000),
@@ -182,13 +205,15 @@ def assert_counters_match(fast, normal):
     (hm_restart_config, 4000),
     (supervised_prototype_config, 4 * 1300 + 137),
 ])
-def test_fast_skip_trace_equivalence(make_config, ticks, backend):
-    normal = Simulator(make_config())
-    fast = Simulator(make_config(), backend=backend)
-    normal.run(ticks)
-    fast.run_fast(ticks)
-    assert full_signature(fast) == full_signature(normal)
-    assert_counters_match(fast, normal)
+def test_fast_skip_trace_equivalence(make_config, ticks, engine):
+    simulator = Simulator(make_config())
+    getattr(simulator, ENGINES[engine])(ticks)
+    assert simulator.trace.digest() == PINNED[make_config.__name__, ticks]
+    if engine == "fast":
+        normal = Simulator(make_config())
+        normal.run(ticks)
+        assert full_signature(simulator) == full_signature(normal)
+        assert_counters_match(simulator, normal)
 
 
 def test_fast_skip_is_actually_faster_on_sparse_schedules():
@@ -209,29 +234,34 @@ def test_fast_skip_is_actually_faster_on_sparse_schedules():
     simulator.run_fast(10_000)
     assert simulator.pmk.idle_ticks == 9 * 1000  # 900 idle per MTF
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
-def test_fast_skip_respects_module_stop(backend):
-    simulator = Simulator(sparse_config(), backend=backend)
-    simulator.run_fast(100)
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+def test_fast_skip_respects_module_stop(engine):
+    simulator = Simulator(sparse_config())
+    run = getattr(simulator, ENGINES[engine])
+    run(100)
     simulator.pmk.module_stop()
     before = simulator.now
-    simulator.run_fast(1000)
+    run(1000)
     assert simulator.now == before
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
-def test_fast_skip_mixed_with_normal_run(backend):
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+def test_fast_skip_mixed_with_normal_run(engine):
+    """Interleaved entry points; *engine* opens and closes the run."""
     reference = Simulator(sparse_config())
     reference.run(4000)
-    mixed = Simulator(sparse_config(), backend=backend)
-    mixed.run(700)
-    mixed.run_fast(2000)
-    mixed.run(1300)
+    mixed = Simulator(sparse_config())
+    outer = getattr(mixed, ENGINES[engine])
+    inner = mixed.run_fast if engine == "reference" else mixed.run
+    outer(700)
+    inner(2000)
+    outer(1300)
     assert signature(mixed) == signature(reference)
+    assert mixed.trace.digest() == PINNED["sparse_config", 4000]
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
-def test_fast_skip_memory_probes_fire_per_tick(backend):
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+def test_fast_skip_memory_probes_fire_per_tick(engine):
     """With memory emulation on, the batched spans must replay exactly the
     per-tick MMU probe sequence — counted read-for-read, write-for-write."""
 
@@ -253,22 +283,21 @@ def test_fast_skip_memory_probes_fire_per_tick(backend):
         return counts
 
     normal = Simulator(memory_config())
-    fast = Simulator(memory_config(), backend=backend)
+    candidate = Simulator(memory_config())
     normal_counts = count_probes(normal, "run", 3000)
-    fast_counts = count_probes(fast, "run_fast", 3000)
-    assert fast_counts == normal_counts
-    assert normal_counts["read"] > 0 and normal_counts["write"] > 0
-    assert full_signature(fast) == full_signature(normal)
+    candidate_counts = count_probes(candidate, ENGINES[engine], 3000)
+    assert candidate_counts == normal_counts == {"read": 900, "write": 900}
+    assert full_signature(candidate) == full_signature(normal)
+    assert candidate.trace.digest() == PINNED["memory_config", 3000]
 
 
-def drive_prototype(runner_name, *, faulty_at=None, switches=(),
-                    backend="reference"):
+def drive_prototype(runner_name, *, faulty_at=None, switches=()):
     """Replay the E13 storyline with the given runner.
 
     *switches* is a sequence of ``(tick, schedule)`` requests issued
     mid-window; *faulty_at* injects the overrunning process at that tick.
     """
-    simulator = make_simulator(build_prototype(), backend=backend)
+    simulator = make_simulator(build_prototype())
     runner = getattr(simulator, runner_name)
     actions = sorted(
         [(tick, "switch", name) for tick, name in switches]
@@ -285,44 +314,49 @@ def drive_prototype(runner_name, *, faulty_at=None, switches=(),
     return simulator
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
-def test_fast_skip_mid_window_schedule_switch(backend):
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+def test_fast_skip_mid_window_schedule_switch(engine):
     """chi1 -> chi2 -> chi1, each requested mid-window: the request itself
     is asynchronous but only takes effect at the MTF boundary, and the
     event core must not batch across either point."""
     reference = drive_prototype(
         "run", switches=[(650, "chi2"), (4 * 1300 + 210, "chi1")])
-    fast = drive_prototype(
-        "run_fast", switches=[(650, "chi2"), (4 * 1300 + 210, "chi1")],
-        backend=backend)
+    candidate = drive_prototype(
+        ENGINES[engine], switches=[(650, "chi2"), (4 * 1300 + 210, "chi1")])
     from repro.kernel.trace import ScheduleSwitched
     assert reference.trace.count(ScheduleSwitched) == 2
-    assert full_signature(fast) == full_signature(reference)
-    assert_counters_match(fast, reference)
+    assert full_signature(candidate) == full_signature(reference)
+    assert_counters_match(candidate, reference)
+    assert candidate.trace.digest() == \
+        PINNED["prototype_switches", 6 * 1300 + 137]
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
-def test_fast_skip_deadline_misses_and_hm(backend):
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+def test_fast_skip_deadline_misses_and_hm(engine):
     """The E13 faulty process: every P1 dispatch after the injection
     detects a violation, runs the HM chain and the error handler."""
     reference = drive_prototype("run", faulty_at=1950)
-    fast = drive_prototype("run_fast", faulty_at=1950, backend=backend)
+    candidate = drive_prototype(ENGINES[engine], faulty_at=1950)
     from repro.kernel.trace import DeadlineMissed
     assert reference.trace.count(DeadlineMissed) > 0
-    assert full_signature(fast) == full_signature(reference)
-    assert_counters_match(fast, reference)
+    assert full_signature(candidate) == full_signature(reference)
+    assert_counters_match(candidate, reference)
+    assert candidate.trace.digest() == \
+        PINNED["prototype_faulty", 6 * 1300 + 137]
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
-def test_fast_skip_hm_partition_restart_mid_run(backend):
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+def test_fast_skip_hm_partition_restart_mid_run(engine):
     """RESTART_PARTITION recovery: the partition is torn down and
     re-initialized mid-run; restart and init ticks cannot be batched."""
     normal = Simulator(hm_restart_config())
-    fast = Simulator(hm_restart_config(), backend=backend)
+    candidate = Simulator(hm_restart_config())
     normal.run(4000)
-    fast.run_fast(4000)
+    getattr(candidate, ENGINES[engine])(4000)
     assert normal.runtime("P1").restart_count > 0 \
         or normal.runtime("P1").init_count > 1
-    assert fast.runtime("P1").init_count == normal.runtime("P1").init_count
-    assert full_signature(fast) == full_signature(normal)
-    assert_counters_match(fast, normal)
+    assert candidate.runtime("P1").init_count == \
+        normal.runtime("P1").init_count
+    assert full_signature(candidate) == full_signature(normal)
+    assert_counters_match(candidate, normal)
+    assert candidate.trace.digest() == PINNED["hm_restart_config", 4000]

@@ -37,6 +37,13 @@ PROTO_DIGEST = \
     "6f885095f1ae944d66e67df86cbad1717b718eca3cc3b5c22b368d7f0443d870"
 
 
+#: Entry point driving the uncached comparison run, per ``engine`` value:
+#: ``reference`` steps one clock interrupt per tick, ``fast`` runs the
+#: event core.  Pinned digests were frozen from the per-tick clock ISR
+#: before it took the event core's horizon shortcuts.
+ENGINES = {"reference": "run", "fast": "run_fast"}
+
+
 def full_signature(simulator):
     """Every trace event, every field — the strictest equivalence check."""
     return [repr(e) for e in simulator.trace.events]
@@ -144,41 +151,47 @@ class TestCycleCache:
         simulator.run_fast(STEADY_MTF * 4)
         assert tuple(simulator.cycle_cache_stats) == CYCLE_CACHE_STAT_KEYS
 
-    @pytest.mark.parametrize("backend", ["reference", "fast"])
-    def test_steady_workload_replays_most_frames(self, backend):
-        simulator = make_steady_simulator(backend=backend, cycle_cache=True)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_steady_workload_replays_most_frames(self, engine):
+        simulator = make_steady_simulator(cycle_cache=True)
         simulator.run_fast(STEADY_MTF * 20)
         stats = simulator.cycle_cache_stats
         # A few warm-up frames: the counter gate needs two equal deltas,
         # the probe pipeline two equal fingerprints, before replay fires.
         assert stats["hits"] >= 12
         assert stats["invalidations"] == 0
+        plain = make_steady_simulator()
+        getattr(plain, ENGINES[engine])(STEADY_MTF * 20)
+        assert full_signature(simulator) == full_signature(plain)
+        assert simulator.trace.digest() == "593b47dbd304cd44"
 
-    @pytest.mark.parametrize("backend", ["reference", "fast"])
-    def test_bit_identity_steady(self, backend):
-        cached = make_steady_simulator(backend=backend, cycle_cache=True)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_bit_identity_steady(self, engine):
+        cached = make_steady_simulator(cycle_cache=True)
         cached.run_fast(STEADY_MTF * 12)
-        plain = make_steady_simulator(backend=backend)
-        plain.run_fast(STEADY_MTF * 12)
+        plain = make_steady_simulator()
+        getattr(plain, ENGINES[engine])(STEADY_MTF * 12)
         assert cached.cycle_cache_stats["hits"] > 0  # genuinely replayed
+        assert cached.trace.digest() == "efdc276a03174811"
         assert full_signature(cached) == full_signature(plain)
         assert cached.now == plain.now
         assert cached.pmk.ticks_executed == plain.pmk.ticks_executed
         assert cached.pmk.partition_ticks == plain.pmk.partition_ticks
         assert state_fingerprint(cached) == state_fingerprint(plain)
 
-    @pytest.mark.parametrize("backend", ["reference", "fast"])
-    def test_faulty_workload_never_fires_but_stays_identical(self, backend):
-        cached = make_simulator(build_prototype(), backend=backend,
-                                cycle_cache=True)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_faulty_workload_never_fires_but_stays_identical(self, engine):
+        cached = make_simulator(build_prototype(), cycle_cache=True)
         cached.run_fast(STEADY_MTF * 4)
         inject_faulty_process(cached)
         cached.run_fast(STEADY_MTF * 4)
-        plain = make_simulator(build_prototype(), backend=backend)
-        plain.run_fast(STEADY_MTF * 4)
+        plain = make_simulator(build_prototype())
+        run = getattr(plain, ENGINES[engine])
+        run(STEADY_MTF * 4)
         inject_faulty_process(plain)
-        plain.run_fast(STEADY_MTF * 4)
+        run(STEADY_MTF * 4)
         assert cached.cycle_cache_stats["hits"] == 0  # conservative
+        assert cached.trace.digest() == "bd48943b8b92aade"
         assert full_signature(cached) == full_signature(plain)
         assert state_fingerprint(cached) == state_fingerprint(plain)
 

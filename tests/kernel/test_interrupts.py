@@ -44,6 +44,46 @@ class TestDelivery:
         assert controller.raise_interrupt(Vector.EXTERNAL_IO) == 2
         assert order == ["a", "b"]
 
+    def test_handler_uninstalling_itself_mid_chain(self):
+        # A delivery runs the chain as it stood when it was raised: the
+        # uninstall takes effect from the next delivery on.
+        controller = InterruptController()
+        order = []
+
+        def once():
+            order.append("once")
+            controller.uninstall(registration)
+
+        controller.install(Vector.EXTERNAL_IO, lambda: order.append("a"),
+                           owner="P1")
+        registration = controller.install(Vector.EXTERNAL_IO, once,
+                                          owner="P1")
+        controller.install(Vector.EXTERNAL_IO, lambda: order.append("b"),
+                           owner="P2")
+        assert controller.raise_interrupt(Vector.EXTERNAL_IO) == 3
+        assert order == ["a", "once", "b"]
+        assert controller.raise_interrupt(Vector.EXTERNAL_IO) == 2
+        assert order == ["a", "once", "b", "a", "b"]
+        assert [r.owner for r in controller.handlers_on(
+            Vector.EXTERNAL_IO)] == ["P1", "P2"]
+
+    def test_handler_uninstalling_a_later_one_mid_chain(self):
+        controller = InterruptController()
+        order = []
+
+        def first():
+            order.append("a")
+            if later in controller.handlers_on(Vector.EXTERNAL_IO):
+                controller.uninstall(later)
+
+        controller.install(Vector.EXTERNAL_IO, first, owner="P1")
+        later = controller.install(Vector.EXTERNAL_IO,
+                                   lambda: order.append("b"), owner="P2")
+        assert controller.raise_interrupt(Vector.EXTERNAL_IO) == 2
+        assert order == ["a", "b"]
+        assert controller.raise_interrupt(Vector.EXTERNAL_IO) == 1
+        assert order == ["a", "b", "a"]
+
     def test_dispatch_count(self):
         controller = InterruptController()
         controller.install(Vector.CLOCK, lambda: None,

@@ -8,7 +8,10 @@ through the same fault schedule (faults before F applied in the prefix,
 faults at or after F scheduled in the fork — a fault at tick F applies
 before F's clock ISR in both runs) and compares all three equivalence
 tokens, with the snapshot pushed through a pickle round trip so process
-transport is covered on every entry of the matrix.
+transport is covered on every entry of the matrix.  Each entry's digest is
+also pinned to the value frozen from the per-tick clock ISR before it took
+the event core's horizon shortcuts, so a defect the cold and forked runs
+share still shows.
 """
 
 import multiprocessing
@@ -40,9 +43,9 @@ from repro.kernel.snapshot import (
 from repro.obs import instrument
 
 
-def build_sim(backend="reference", **kwargs):
+def build_sim(**kwargs):
     handles = build_prototype(fdir_supervision=True, **kwargs)
-    return make_simulator(handles, backend=backend), handles.config
+    return make_simulator(handles), handles.config
 
 
 def cold_run(faults, total):
@@ -56,43 +59,49 @@ def cold_run(faults, total):
     return sim, config, observer
 
 
+#: Injector entry point per ``engine`` parameter value: ``reference``
+#: steps one clock interrupt per tick, ``fast`` runs the event core.
+ENGINES = {"reference": "run", "fast": "run_fast"}
+
+
 def forked_run(faults, total, fork_tick, *, precondition=None,
-               backend="reference"):
+               engine="fast"):
     """Prefix to *fork_tick*, checkpoint (via pickle), fork, continue.
 
-    *backend* drives both the prefix and the forked continuation; the
-    cold run it is compared against always uses the reference backend,
-    so the fast-backend matrix entries assert cross-backend
+    *engine* drives both the prefix and the forked continuation; the
+    cold run it is compared against always uses ``run_fast``, so the
+    ``reference`` matrix entries also assert stepped/event-core
     bit-identity through a checkpoint.
     """
-    prefix_sim, _ = build_sim(backend=backend)
+    prefix_sim, _ = build_sim()
     prefix_injector = FaultInjector(prefix_sim)
     for tick, make in faults:
         if tick < fork_tick:
             prefix_injector.schedule(tick, make())
-    prefix_injector.run_fast(fork_tick)
+    getattr(prefix_injector, ENGINES[engine])(fork_tick)
     assert prefix_sim.now == fork_tick
     if precondition is not None:
         precondition(prefix_sim)
     snapshot = SimulatorSnapshot.from_bytes(prefix_sim.snapshot().to_bytes())
     _, config = build_sim()
-    sim = snapshot.restore(config, backend=backend)
+    sim = snapshot.restore(config)
     observer = instrument(sim, replay=True)
     injector = FaultInjector(sim)
     for tick, make in faults:
         if tick >= fork_tick:
             injector.schedule(tick, make())
-    injector.run_fast(total - fork_tick)
+    getattr(injector, ENGINES[engine])(total - fork_tick)
     return sim, config, observer
 
 
-def assert_fork_equivalent(faults, total, fork_tick, *, precondition=None,
-                           backend="reference"):
+def assert_fork_equivalent(faults, total, fork_tick, *, pinned,
+                           precondition=None, engine="fast"):
     cold_sim, cold_config, cold_obs = cold_run(faults, total)
     fork_sim, fork_config, fork_obs = forked_run(
         faults, total, fork_tick, precondition=precondition,
-        backend=backend)
+        engine=engine)
     assert fork_sim.now == cold_sim.now
+    assert cold_sim.trace.digest() == pinned
     assert fork_sim.trace.digest() == cold_sim.trace.digest()
     assert fork_obs.collect().digest() == cold_obs.collect().digest()
     assert check_trace(fork_sim.trace, fork_config) == \
@@ -111,18 +120,20 @@ CHAOS_FAULTS = (
     (5 * MTF, lambda: ScheduleSwitchFault("chi2")),
 )
 CHAOS_TOTAL = 8 * MTF
+CHAOS_DIGEST = "c875de5acd01f479"
+SWITCH_DIGEST = "88721a844cea684f"
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
+@pytest.mark.parametrize("engine", ["reference", "fast"])
 class TestForkEquivalenceMatrix:
-    """Every entry runs once per backend: the prefix and the forked
-    continuation execute on *backend* while the cold run stays on the
-    reference interpreter, so the ``fast`` rows double as cross-backend
-    bit-identity gates."""
+    """Every entry runs once per engine: the prefix and the forked
+    continuation are driven by ``FaultInjector.run`` (``reference``, one
+    clock interrupt per tick) or ``run_fast`` (``fast``), while the cold
+    run stays on ``run_fast`` and its digest on the pinned value."""
 
-    def test_fault_free_mid_window_fork(self, backend):
+    def test_fault_free_mid_window_fork(self, engine):
         assert_fork_equivalent((), 4 * MTF + 77, 2 * MTF + 391,
-                               backend=backend)
+                               pinned="b3a4cf18c79fd40a", engine=engine)
 
     @pytest.mark.parametrize("fork_tick", [
         137,             # inside the very first partition window
@@ -133,20 +144,20 @@ class TestForkEquivalenceMatrix:
         4 * MTF + 60,    # just after the partition crash
         5 * MTF + 3,     # right after the commanded switch took effect
     ])
-    def test_chaos_schedule_forked_at(self, fork_tick, backend):
+    def test_chaos_schedule_forked_at(self, fork_tick, engine):
         assert_fork_equivalent(CHAOS_FAULTS, CHAOS_TOTAL, fork_tick,
-                               backend=backend)
+                               pinned=CHAOS_DIGEST, engine=engine)
 
-    def test_fork_straddling_pending_schedule_switch(self, backend):
+    def test_fork_straddling_pending_schedule_switch(self, engine):
         # Request lands at 2*MTF - 60; Algorithm 1 applies it at the
         # 2*MTF boundary.  Forking in between must carry the pending
         # switch (scheduler.next_schedule) across the checkpoint.
         faults = ((2 * MTF - 60, lambda: ScheduleSwitchFault("chi2")),)
         assert_fork_equivalent(faults, 4 * MTF, 2 * MTF - 25,
-                               backend=backend)
+                               pinned=SWITCH_DIGEST, engine=engine)
 
     def test_fork_exactly_at_mtf_boundary_with_pending_chi2_switch(
-            self, backend):
+            self, engine):
         # The boundary tick itself performs the switch; a snapshot taken
         # at now == boundary precedes that tick's ISR, so the fork must
         # replay the switch exactly once — not zero, not two times.
@@ -157,9 +168,10 @@ class TestForkEquivalenceMatrix:
             assert scheduler.next_schedule is not None
 
         assert_fork_equivalent(faults, 4 * MTF, 2 * MTF,
-                               precondition=pending, backend=backend)
+                               pinned=SWITCH_DIGEST, precondition=pending,
+                               engine=engine)
 
-    def test_fork_while_partition_parked_by_fdir(self, backend):
+    def test_fork_while_partition_parked_by_fdir(self, engine):
         # Crash-loop P2 faster than the storm window: FDIR parks it at
         # tick 2510 (pinned by the supervision integration suite).  Fork
         # after parking, with one more (suppressed) injection after the
@@ -171,10 +183,11 @@ class TestForkEquivalenceMatrix:
         def parked(sim):
             assert sim.pmk.fdir.parked == ("P2",)
 
-        assert_fork_equivalent(faults, 5 * MTF, 3000, precondition=parked,
-                               backend=backend)
+        assert_fork_equivalent(faults, 5 * MTF, 3000,
+                               pinned="c7a95b0be01b0f91",
+                               precondition=parked, engine=engine)
 
-    def test_fork_with_nonempty_queuing_port(self, backend):
+    def test_fork_with_nonempty_queuing_port(self, engine):
         # Flood P4's alert queue, fork while messages are still queued.
         faults = ((2 * MTF + 100,
                    lambda: MessageFloodFault("P4", "alert_out",
@@ -189,17 +202,18 @@ class TestForkEquivalenceMatrix:
             assert any(depth > 0 for depth in depths), depths
 
         assert_fork_equivalent(faults, 5 * MTF, 2 * MTF + 140,
-                               precondition=queued, backend=backend)
+                               pinned="bfb879b28b9813f6",
+                               precondition=queued, engine=engine)
 
-    def test_fork_after_watchdog_relevant_kill(self, backend):
+    def test_fork_after_watchdog_relevant_kill(self, engine):
         # Silencing P4's heartbeat exercises the watchdog expiry path;
         # fork between the kill and the expiry.
         faults = ((2 * MTF + 10,
                    lambda: ProcessKillFault("P4", "fdir-heartbeat")),)
         assert_fork_equivalent(faults, 6 * MTF, 2 * MTF + 400,
-                               backend=backend)
+                               pinned="c5a5460945f7befc", engine=engine)
 
-    def test_fork_after_applied_faults_with_injector_extras(self, backend):
+    def test_fork_after_applied_faults_with_injector_extras(self, engine):
         # Interior divergence-trie node: the checkpoint is taken AFTER
         # two faults fired, with the injector's applied log riding in the
         # extras side-channel.  The continuation seeds its injector from
@@ -207,19 +221,19 @@ class TestForkEquivalenceMatrix:
         fork_tick = 3 * MTF
         cold_sim, cold_config, cold_obs = cold_run(CHAOS_FAULTS,
                                                    CHAOS_TOTAL)
-        prefix_sim, _ = build_sim(backend=backend)
+        prefix_sim, _ = build_sim()
         prefix_injector = FaultInjector(prefix_sim)
         for tick, make in CHAOS_FAULTS:
             if tick < fork_tick:
                 prefix_injector.schedule(tick, make())
-        prefix_injector.run_fast(fork_tick)
+        getattr(prefix_injector, ENGINES[engine])(fork_tick)
         snapshot = SimulatorSnapshot.from_bytes(
             SimulatorSnapshot.capture(
                 prefix_sim,
                 extras={"injector": prefix_injector.state_dict()},
             ).to_bytes())
         _, config = build_sim()
-        sim = snapshot.restore(config, backend=backend)
+        sim = snapshot.restore(config)
         observer = instrument(sim, replay=True)
         resumed = FaultInjector(sim)
         resumed.load_state_dict(snapshot.extras["injector"])
@@ -227,31 +241,33 @@ class TestForkEquivalenceMatrix:
         for tick, make in CHAOS_FAULTS:
             if tick >= fork_tick:
                 resumed.schedule(tick, make())
-        resumed.run_fast(CHAOS_TOTAL - fork_tick)
+        getattr(resumed, ENGINES[engine])(CHAOS_TOTAL - fork_tick)
         assert len(resumed.log) == len(CHAOS_FAULTS)
+        assert cold_sim.trace.digest() == CHAOS_DIGEST
         assert sim.trace.digest() == cold_sim.trace.digest()
         assert observer.collect().digest() == cold_obs.collect().digest()
         assert check_trace(sim.trace, config) == \
             check_trace(cold_sim.trace, cold_config)
 
-    def test_one_snapshot_forks_many_equivalent_continuations(self, backend):
+    def test_one_snapshot_forks_many_equivalent_continuations(self, engine):
         # The SAME live snapshot object is restored three times — the
         # prefix cache leans on restore copying every mutable container
         # out of the snapshot state rather than aliasing it, so a prior
         # fork's execution must never leak into the next fork.
         total = 5 * MTF
         cold_sim, _, _ = cold_run(CHAOS_FAULTS, total)
+        assert cold_sim.trace.digest() == "01773628b7b9c0d1"
         prefix_sim, _ = build_sim()
         prefix_sim.run_fast(MTF - 200)  # strictly before the first fault
         shared = SimulatorSnapshot.from_bytes(
             prefix_sim.snapshot().to_bytes())
         for _ in range(3):
             _, config = build_sim()
-            fork = shared.restore(config, backend=backend)
+            fork = shared.restore(config)
             injector = FaultInjector(fork)
             for tick, make in CHAOS_FAULTS:
                 injector.schedule(tick, make())
-            injector.run_fast(total - fork.now)
+            getattr(injector, ENGINES[engine])(total - fork.now)
             assert fork.trace.digest() == cold_sim.trace.digest()
 
 

@@ -74,6 +74,24 @@ class TestProfiledRun:
         assert stepped.trace.digest() == bare.trace.digest()
 
 
+    def test_profiling_wraps_only_this_simulator(self):
+        profiled = build()
+        profiler = profiled.enable_profiling()
+        other = build()
+        other.run_fast(MTF)
+        assert profiler.seconds == {}
+        assert "tick" in vars(profiled.pmk.scheduler)
+        assert "tick" not in vars(other.pmk.scheduler)
+
+    def test_nested_entry_points_count_towards_the_outer_one(self):
+        profiler = SelfProfiler()
+        inner = profiler.wrap("memory", lambda: None)
+        outer = profiler.wrap("execute_span", lambda: inner())
+        outer()
+        inner()
+        assert profiler.calls == {"execute_span": 1, "memory": 1}
+
+
 class TestEventCoreStats:
     def test_stepped_run_batches_nothing(self):
         simulator = build(faulty=False)
