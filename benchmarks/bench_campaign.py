@@ -12,10 +12,10 @@ Three suites over the campaign engine (``repro.campaign``):
   divergence trie on (``prefix_depth=None``) vs off (``prefix_depth=0``,
   the root-only prefix sharing of before).  Reports simulated ticks/sec
   for both and asserts the digest matrix — byte-identical deterministic
-  reports across {serial, pooled x {1, 2, 4}} x {tree on, tree off} x
-  {reference, fast}.  Speedup floor: >= 2x ticks/sec over the root-only
-  baseline, serial.  Per-worker prefix-cache hit rates and shared-memory
-  attach counts ride in the artifact's nondeterministic ``meta`` sidecar.
+  reports across {serial, pooled x {1, 2, 4}} x {tree on, tree off}.
+  Speedup floor: >= 2x ticks/sec over the root-only baseline, serial.
+  Per-worker prefix-cache hit rates ride in the artifact's
+  nondeterministic ``meta`` sidecar.
 
 * **telemetry** (E21) — the E15 fault-matrix workload pooled with the
   campaign telemetry bus fully enabled (live streaming to a discarding
@@ -165,7 +165,7 @@ def assert_digest_matrix(campaign, *, depth: Optional[int],
 
 
 def _worker_sidecar(telemetry: Dict) -> Dict:
-    """Per-worker hit rates + shm attach counts (nondeterministic)."""
+    """Per-worker prefix-cache hit rates (nondeterministic)."""
     workers = {}
     for pid, stats in (telemetry.get("workers") or {}).items():
         cache = stats.get("prefix_cache") or {}
@@ -175,12 +175,9 @@ def _worker_sidecar(telemetry: Dict) -> Dict:
             "prefix_misses": cache.get("misses", 0),
             "prefix_hit_rate": round(cache.get("hits", 0) / lookups, 3)
             if lookups else None,
-            "shm_attaches": (stats.get("shm") or {}).get("attaches", 0),
-            "shm_publishes": (stats.get("shm") or {}).get("publishes", 0),
         }
     return {"workers": workers,
-            "prefix_tree": telemetry.get("prefix_tree"),
-            "shm": telemetry.get("shm")}
+            "prefix_tree": telemetry.get("prefix_tree")}
 
 
 def run_prefix_benchmark(*, scenarios: int = PREFIX_SCENARIOS,

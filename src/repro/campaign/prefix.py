@@ -25,13 +25,12 @@ This module removes that redundancy at every level of the divergence tree:
   planner: enumerate each scenario's usable fork levels, pin every level
   shared by >= 2 scenarios to one common capture tick, and hand each
   scenario a :class:`PrefixPlan` (which checkpoints to build, where to
-  fork, which locality group it belongs to);
+  fork, which dispatch group it belongs to);
 * :class:`SnapshotCache` — bounded LRU of *pickled*
   :class:`~repro.kernel.snapshot.SimulatorSnapshot` payloads, keyed by
   ``(prefix key, tick)``;
 * :func:`run_with_prefix_cache` — the drop-in scenario executor: fork from
-  the deepest cached ancestor (local cache first, then an optional
-  shared-memory transport), build and publish any missing checkpoints on
+  the deepest cached ancestor, build and cache any missing checkpoints on
   the way down, and run the scenario's divergent suffix from the fork.
 
 Correctness rests on the snapshot layer's bit-identity contract (tested by
@@ -159,7 +158,7 @@ class PrefixPlan:
     boundary across every scenario sharing the key, so all sharers look
     up the exact same ``(key, tick)`` cache entry — no per-scenario
     quantization drift.  ``group_key`` (the deepest shared key, or the
-    scenario id when nothing is shared) is the locality-dispatch handle:
+    scenario id when nothing is shared) is the pool-dispatch handle:
     scenarios with equal group keys want the same worker.
     """
 
@@ -191,7 +190,7 @@ def prefix_levels(scenario: Scenario, *, quantum: Ticks = PREFIX_QUANTUM,
     if getattr(scenario, "is_constellation", False):
         # A constellation has no single-simulator prefix to checkpoint:
         # N snapshots plus fabric/protocol state is not a
-        # SimulatorSnapshot.  No levels -> singleton locality group ->
+        # SimulatorSnapshot.  No levels -> singleton dispatch group ->
         # always a cold run.
         return []
     events = scenario.timeline()
@@ -299,7 +298,10 @@ class SnapshotCache:
                  "rejects", "evictions", "total_bytes", "stored_bytes",
                  "hit_bytes", "evicted_bytes")
 
-    def __init__(self, capacity: int = 16,
+    #: Entry-count bound when none is given.
+    DEFAULT_CAPACITY = 16
+
+    def __init__(self, capacity: int = DEFAULT_CAPACITY,
                  max_bytes: Optional[int] = None,
                  compress_level: Optional[int] = None) -> None:
         if capacity < 1:
@@ -438,20 +440,16 @@ class SnapshotCache:
 def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
                        plan: PrefixPlan,
                        base_snapshot: Optional[SimulatorSnapshot],
-                       base_depth: int, *, check_interval: int,
-                       transport=None) -> Optional[SimulatorSnapshot]:
-    """Build, cache and publish the plan's missing checkpoints.
+                       base_depth: int, *, check_interval: int
+                       ) -> Optional[SimulatorSnapshot]:
+    """Build and cache the plan's missing checkpoints.
 
     Starts from *base_snapshot* (a hit at *base_depth*), else from the
     longest cached fault-free root below the first capture tick, else
     cold; schedules timeline events incrementally so a checkpoint at
     level *d* has exactly the first *d* events applied and nothing deeper
-    pending.  Each level boundary re-checks the shared-memory *transport*
-    before simulating toward it, so workers racing through the same chain
-    converge onto the first publisher's checkpoints instead of all
-    building the full chain.  Returns the deepest checkpoint reached (or
-    *base_snapshot* if nothing new was needed); returns None to degrade
-    on any failure.
+    pending.  Returns the deepest checkpoint reached (or *base_snapshot*
+    if nothing new was needed); returns None to degrade on any failure.
     """
     from ..fault.injector import FaultInjector
     from ..kernel.simulator import Simulator
@@ -481,22 +479,6 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
         for depth, key, tick in plan.capture_levels:
             if depth <= base_depth:
                 continue  # at or behind the starting checkpoint
-            if transport is not None:
-                # Re-check shared memory at every level boundary: a
-                # sibling worker racing through the same chain may have
-                # published this checkpoint while we were simulating the
-                # shallower span — attach and jump instead of rebuilding.
-                fetched = transport.fetch(key, tick)
-                if fetched is not None:
-                    simulator = fetched.restore(config)
-                    injector = FaultInjector(simulator)
-                    if fetched.extras:
-                        state = fetched.extras.get("injector")
-                        if state is not None:
-                            injector.load_state_dict(state)
-                    cursor = depth
-                    deepest = fetched
-                    continue
             for event_tick, fault in events[cursor:depth]:
                 injector.schedule(event_tick, fault)
             cursor = depth
@@ -505,8 +487,6 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
             snapshot = SimulatorSnapshot.capture(
                 simulator, extras={"injector": injector.state_dict()})
             cache.put(key, tick, snapshot.to_bytes(), snapshot)
-            if transport is not None:
-                transport.publish(key, tick, snapshot)
             deepest = snapshot
         return deepest
     except Exception:  # noqa: BLE001 — degrade to whatever we had
@@ -519,7 +499,6 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
                           quantum: Ticks = PREFIX_QUANTUM,
                           cycle_cache: bool = False,
                           plan: Optional[PrefixPlan] = None,
-                          transport=None,
                           publisher=None,
                           artifacts=None):
     """Run *scenario*, sharing its execution prefix through *cache*.
@@ -534,11 +513,8 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
     cached, and forked.
 
     With a *plan* (one scenario's slice of :func:`build_divergence_trie`)
-    the lookup walks the scenario's fork levels deepest-first — local
-    cache, then the optional shared-memory *transport* (an object with
-    ``fetch(key, tick) -> snapshot|None`` and
-    ``publish(key, tick, snapshot)``) — and forks from the deepest
-    ancestor found, building, caching and publishing every missing
+    the lookup walks the scenario's fork levels deepest-first and forks
+    from the deepest cached ancestor, building and caching every missing
     checkpoint on the way.
 
     Prefix construction failures degrade to an uncached cold run: the
@@ -567,8 +543,6 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
         found_depth = -1
         for depth, key, tick in plan.fork_levels:
             snapshot = cache.get_snapshot(key, tick)
-            if snapshot is None and transport is not None:
-                snapshot = transport.fetch(key, tick)
             if snapshot is not None:
                 found_depth = depth
                 break
@@ -576,8 +550,7 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
                 found_depth < plan.capture_levels[-1][0]:
             built = _build_plan_levels(
                 scenario, cache, plan, snapshot, found_depth,
-                check_interval=check_interval,
-                transport=transport)
+                check_interval=check_interval)
             if built is not None:
                 snapshot = built
         return run_scenario(scenario, timeout_s=timeout_s,

@@ -189,7 +189,7 @@ def run_scenario(scenario: Scenario, *,
     Constellation scenarios (``is_constellation``) dispatch to
     :func:`repro.constellation.runner.run_constellation_scenario` — same
     contract, N lockstep nodes instead of one simulator.  They never fork
-    from snapshots (each constellation is its own locality group).
+    from snapshots (each constellation is its own trie group).
     """
     if getattr(scenario, "is_constellation", False):
         from ..constellation.runner import run_constellation_scenario
@@ -319,28 +319,35 @@ def run_scenario(scenario: Scenario, *,
     return result
 
 
-#: Per-worker-process prefix cache, created lazily on the first prefix-
-#: enabled scenario and reused across every pool task the worker handles.
-#: Module-level so it survives between tasks in the same worker.
+#: Per-worker-process prefix cache, installed by the pool initializer
+#: (:func:`_init_worker`) and reused across every task the worker
+#: handles: the parent's cache with every split group's chain pre-built,
+#: or None when the prefix cache is off.
 _WORKER_PREFIX_CACHE = None
 
-#: Per-worker-process shared-memory transport, keyed by the campaign run
-#: id so consecutive campaigns in one long-lived pool never cross-attach.
-_WORKER_TRANSPORT = None
-
-#: Per-worker-process telemetry wiring, installed by the pool initializer
-#: (:func:`_init_worker_telemetry`): ``(sink, campaign id)`` or None.
+#: Per-worker-process telemetry wiring, installed by the pool initializer:
+#: ``(sink, campaign id)`` or None.
 _WORKER_TELEMETRY = None
 
 #: Lazily built per-process :class:`TelemetryPublisher` over the wiring.
 _WORKER_PUBLISHER = None
 
 
-def _init_worker_telemetry(sink, campaign_id: str) -> None:
-    """Pool initializer: hand each worker the parent's telemetry sink."""
-    global _WORKER_TELEMETRY, _WORKER_PUBLISHER
-    _WORKER_TELEMETRY = (sink, campaign_id)
+def _init_worker(cache, sink, campaign_id: Optional[str]) -> None:
+    """Pool initializer: hand each worker the parent's prefix cache and
+    telemetry sink.
+
+    Under the fork start method both are inherited without copying;
+    under spawn they are pickled once per worker.  The cycle-cache
+    totals restart from zero so a worker never reports counters the
+    parent accumulated before forking.
+    """
+    global _WORKER_PREFIX_CACHE, _WORKER_TELEMETRY, _WORKER_PUBLISHER
+    global _CYCLE_CACHE_TOTALS
+    _WORKER_PREFIX_CACHE = cache
+    _WORKER_TELEMETRY = None if sink is None else (sink, campaign_id)
     _WORKER_PUBLISHER = None
+    _CYCLE_CACHE_TOTALS = None
 
 
 def _worker_publisher():
@@ -357,99 +364,60 @@ def _worker_publisher():
     return _WORKER_PUBLISHER
 
 
-def _worker_cache():
-    global _WORKER_PREFIX_CACHE
-    if _WORKER_PREFIX_CACHE is None:
-        from .prefix import SnapshotCache
-
-        _WORKER_PREFIX_CACHE = SnapshotCache()
-    return _WORKER_PREFIX_CACHE
-
-
-def _worker_transport(run_id: Optional[str]):
-    global _WORKER_TRANSPORT
-    if run_id is None:
-        return None
-    if _WORKER_TRANSPORT is None or _WORKER_TRANSPORT.run_id != run_id:
-        from .shm import SnapshotTransport
-
-        _WORKER_TRANSPORT = SnapshotTransport(run_id, probe=False)
-    return _WORKER_TRANSPORT
-
-
-def _run_one(scenario: Scenario, *, timeout_s: Optional[float],
-             check_interval: int, prefix_cache: bool,
-             cycle_cache: bool = False,
-             artifacts: Optional[ScenarioArtifacts] = None
-             ) -> ScenarioResult:
-    """One unit of campaign work, with or without prefix sharing."""
-    publisher = _worker_publisher()
-    if not prefix_cache:
-        return run_scenario(scenario, timeout_s=timeout_s,
-                            check_interval=check_interval,
-                            cycle_cache=cycle_cache,
-                            publisher=publisher,
-                            artifacts=artifacts)
+def _run_chunk(chunk: Sequence[Scenario], plans, cache, *,
+               timeout_s: Optional[float], check_interval: int,
+               cycle_cache: bool, publisher,
+               artifacts: Optional[ScenarioArtifacts]
+               ) -> List[ScenarioResult]:
+    """Run *chunk* in order: cold without a *cache*, otherwise forking
+    through it along each scenario's trie plan (*plans*: scenario id ->
+    :class:`~repro.campaign.prefix.PrefixPlan`, None = root-only
+    sharing)."""
+    if cache is None:
+        return [run_scenario(scenario, timeout_s=timeout_s,
+                             check_interval=check_interval,
+                             cycle_cache=cycle_cache, publisher=publisher,
+                             artifacts=artifacts)
+                for scenario in chunk]
     from .prefix import run_with_prefix_cache
 
-    return run_with_prefix_cache(scenario, _worker_cache(),
-                                 timeout_s=timeout_s,
-                                 check_interval=check_interval,
-                                 cycle_cache=cycle_cache,
-                                 publisher=publisher,
-                                 artifacts=artifacts)
+    return [run_with_prefix_cache(
+                scenario, cache, timeout_s=timeout_s,
+                check_interval=check_interval, cycle_cache=cycle_cache,
+                plan=None if plans is None else plans[scenario.scenario_id],
+                publisher=publisher, artifacts=artifacts)
+            for scenario in chunk]
 
 
-def _pool_worker(payload: Tuple[Scenario, Optional[float], int, bool,
-                                bool, Optional[ScenarioArtifacts]]
-                 ) -> ScenarioResult:
-    (scenario, timeout_s, check_interval, prefix_cache, cycle_cache,
-     artifacts) = payload
-    return _run_one(scenario, timeout_s=timeout_s,
-                    check_interval=check_interval,
-                    prefix_cache=prefix_cache,
-                    cycle_cache=cycle_cache,
-                    artifacts=artifacts)
+def _chunk_worker(payload):
+    """Run one pool task in this worker.
 
-
-def _group_worker(payload):
-    """Run one locality group (scenarios sharing a prefix) in one worker.
-
-    Returns ``(original indices, results, sidecar)`` — the parent
-    reassembles results into campaign order by index, so dispatch order
-    (``imap_unordered``) never reaches the deterministic report.  The
-    sidecar carries this worker's cumulative cache/transport counters
-    (keyed by pid on the parent side; later tasks from the same worker
-    simply overwrite with larger counts).
+    Returns ``(campaign indices, results, sidecar)``: the parent places
+    results by index, so completion order (``imap_unordered``) never
+    reaches the deterministic report.  The sidecar carries this worker's
+    cumulative cache counters (keyed by pid on the parent side; later
+    tasks from the same worker overwrite with larger counts).
     """
-    (indices, group, plans, timeout_s, check_interval, cycle_cache,
-     run_id, artifacts) = payload
-    from .prefix import run_with_prefix_cache
-
-    cache = _worker_cache()
-    transport = _worker_transport(run_id)
+    (indices, chunk, plans, timeout_s, check_interval, cycle_cache,
+     artifacts) = payload
+    cache = _WORKER_PREFIX_CACHE
     publisher = _worker_publisher()
-    results = [
-        run_with_prefix_cache(scenario, cache, timeout_s=timeout_s,
-                              check_interval=check_interval,
-                              cycle_cache=cycle_cache,
-                              plan=plan,
-                              transport=transport, publisher=publisher,
-                              artifacts=artifacts)
-        for scenario, plan in zip(group, plans)]
+    results = _run_chunk(chunk, plans, cache, timeout_s=timeout_s,
+                         check_interval=check_interval,
+                         cycle_cache=cycle_cache, publisher=publisher,
+                         artifacts=artifacts)
+    cycle_totals = dict(_CYCLE_CACHE_TOTALS) \
+        if _CYCLE_CACHE_TOTALS is not None else None
     sidecar = {"pid": os.getpid(),
-               "prefix_cache": cache.stats(),
-               "shm": transport.stats() if transport is not None else None,
-               "cycle_cache": dict(_CYCLE_CACHE_TOTALS)
-               if _CYCLE_CACHE_TOTALS is not None else None}
+               "prefix_cache": cache.stats() if cache is not None else None,
+               "cycle_cache": cycle_totals}
     if publisher is not None:
         # Cumulative counters per task; the log consumer reads the last
         # event per (worker, stat) topic as the worker's final value.
-        publisher.cache_stats(cache.stats())
-        if transport is not None:
-            publisher.shm_stats(transport.stats())
-        if _CYCLE_CACHE_TOTALS is not None:
-            publisher.cycle_cache_stats(_CYCLE_CACHE_TOTALS)
+        if cache is not None:
+            publisher.cache_stats(cache.stats())
+        if cycle_totals is not None:
+            publisher.cycle_cache_stats(cycle_totals)
     return indices, results, sidecar
 
 
@@ -512,38 +480,25 @@ def run_serial(scenarios: Sequence[Scenario], *,
         publisher = TelemetryPublisher(bus.start(None), bus.campaign_id,
                                        worker="serial")
     cycle_before = dict(_CYCLE_CACHE_TOTALS or {})
-    if not prefix_cache:
-        results = [run_scenario(scenario, timeout_s=timeout_s,
-                                check_interval=check_interval,
-                                cycle_cache=cycle_cache,
-                                publisher=publisher,
-                                artifacts=artifacts)
-                   for scenario in scenarios]
-        if telemetry is not None:
-            _serial_cycle_telemetry(telemetry, cycle_before, cycle_cache)
-        if publisher is not None and cycle_cache:
-            publisher.cycle_cache_stats(
-                _cycle_totals_since(cycle_before))
-        _close_bus(bus, results, telemetry)
-        return results
-    from .prefix import SnapshotCache, run_with_prefix_cache
+    cache = None
+    if prefix_cache:
+        from .prefix import SnapshotCache
 
+        cache = SnapshotCache()
     plans = _plan_campaign(scenarios, prefix_cache, prefix_depth)
-    cache = SnapshotCache()
-    results = [
-        run_with_prefix_cache(
-            scenario, cache, timeout_s=timeout_s,
-            check_interval=check_interval, cycle_cache=cycle_cache,
-            plan=None if plans is None else plans[scenario.scenario_id],
-            publisher=publisher, artifacts=artifacts)
-        for scenario in scenarios]
+    results = _run_chunk(scenarios, plans, cache, timeout_s=timeout_s,
+                         check_interval=check_interval,
+                         cycle_cache=cycle_cache, publisher=publisher,
+                         artifacts=artifacts)
     if telemetry is not None:
-        telemetry["prefix_tree"] = _tree_telemetry(plans, prefix_depth)
-        telemetry["workers"] = {
-            "serial": {"prefix_cache": cache.stats(), "shm": None}}
+        if cache is not None:
+            telemetry["prefix_tree"] = _tree_telemetry(plans, prefix_depth)
+            telemetry["workers"] = {
+                "serial": {"prefix_cache": cache.stats()}}
         _serial_cycle_telemetry(telemetry, cycle_before, cycle_cache)
     if publisher is not None:
-        publisher.cache_stats(cache.stats())
+        if cache is not None:
+            publisher.cache_stats(cache.stats())
         if cycle_cache:
             publisher.cycle_cache_stats(_cycle_totals_since(cycle_before))
     _close_bus(bus, results, telemetry)
@@ -587,6 +542,70 @@ def _tree_telemetry(plans, prefix_depth: Optional[int]) -> Dict:
     }
 
 
+def _dispatch_chunks(scenarios: Sequence[Scenario], plans, workers: int,
+                     chunksize: Optional[int]
+                     ) -> Tuple[List[List[int]], List[int]]:
+    """Split campaign indices into pool tasks.
+
+    With the divergence trie on (*plans* not None) scenarios are grouped
+    by their deepest shared prefix key, in first-appearance order, and
+    each group is cut into tasks of at most *chunksize* (default: the
+    group spread across the workers), so one worker forks a chain for as
+    many of its sharers as possible.  With the trie off the tasks are
+    runs of campaign order, *chunksize* long (default ``len // (4 *
+    workers)``: small enough to load-balance, large enough not to pay
+    per-scenario IPC).
+
+    Returns ``(tasks, split)``: *split* holds one campaign index per
+    trie group that spans more than one task.
+    """
+    groups: "OrderedDict[str, List[int]]" = OrderedDict()
+    for index, scenario in enumerate(scenarios):
+        key = "" if plans is None else plans[scenario.scenario_id].group_key
+        groups.setdefault(key, []).append(index)
+    tasks: List[List[int]] = []
+    split: List[int] = []
+    for indices in groups.values():
+        if chunksize:
+            cap = chunksize
+        elif plans is None:
+            cap = max(1, len(indices) // (workers * 4))
+        else:
+            cap = max(1, -(-len(indices) // workers))
+        if plans is not None and len(indices) > cap:
+            split.append(indices[0])
+        tasks.extend(indices[start:start + cap]
+                     for start in range(0, len(indices), cap))
+    return tasks, split
+
+
+def _prebuilt_cache(scenarios: Sequence[Scenario], plans,
+                    split: Sequence[int], check_interval: int):
+    """The pool's shared starting cache: every split group's checkpoint
+    chain, built once in the parent.
+
+    Without it the workers sharing a group would all race to cold-build
+    the same chain.  Single-task groups are left to their one worker,
+    which builds the chain exactly once anyway.  The capacity holds every
+    pre-built level on top of the usual working room, so none is evicted
+    before the workers start.
+    """
+    from .prefix import SnapshotCache, _build_plan_levels
+
+    levels = {level for index in split
+              for level in plans[scenarios[index].scenario_id]
+              .capture_levels}
+    cache = SnapshotCache(
+        capacity=SnapshotCache.DEFAULT_CAPACITY + len(levels))
+    for index in split:
+        scenario = scenarios[index]
+        plan = plans[scenario.scenario_id]
+        if plan.capture_levels:
+            _build_plan_levels(scenario, cache, plan, None, -1,
+                               check_interval=check_interval)
+    return cache
+
+
 def run_pool(scenarios: Sequence[Scenario], *,
              workers: Optional[int] = None,
              chunksize: Optional[int] = None,
@@ -595,43 +614,34 @@ def run_pool(scenarios: Sequence[Scenario], *,
              prefix_cache: bool = True,
              cycle_cache: bool = False,
              prefix_depth: Optional[int] = None,
-             locality: bool = True,
-             shm: Optional[bool] = None,
              telemetry: Optional[Dict] = None,
              bus=None,
              artifacts: Optional[ScenarioArtifacts] = None
              ) -> List[ScenarioResult]:
     """Fan scenarios out over a ``multiprocessing`` pool.
 
-    With the divergence trie on (*prefix_cache* and ``prefix_depth !=
-    0``) and *locality* (the default), scenarios are grouped by their
-    deepest shared prefix key and whole groups are handed to the same
-    worker via ``imap_unordered`` — the worker that builds a prefix
-    checkpoint is the worker that reuses it.  Results are reassembled
-    into campaign order by original index, so the result list matches
-    the scenario list index-for-index exactly as ``pool.map`` would, and
-    the deterministic report is provably independent of dispatch: every
-    scenario is self-contained, results are re-sorted by scenario id in
-    the aggregate, and nothing nondeterministic enters the deterministic
-    record.  *chunksize* caps scenarios per group task (default: each
-    group split across the worker count).
+    One dispatch path: index-tagged chunks of scenarios
+    (:func:`_dispatch_chunks`) go to the workers through
+    ``imap_unordered``, and results are placed back by campaign index,
+    so the result list matches the scenario list index-for-index and
+    the deterministic report is independent of dispatch: every scenario
+    is self-contained, results are re-sorted by scenario id in the
+    aggregate, and nothing nondeterministic enters the deterministic
+    record.  With the divergence trie on (*prefix_cache* and
+    ``prefix_depth != 0``) chunks follow the trie's groups; otherwise
+    they follow campaign order.  *chunksize* caps scenarios per chunk.
 
-    *shm* (default: auto) additionally carries checkpoints across the
-    pool through ``multiprocessing.shared_memory``: the parent
-    pre-builds and publishes the chain of every group split across
-    multiple workers (so its workers start with a zero-copy attach
-    instead of racing to cold-build the same chain), and workers
-    publish whatever they build so later chunks attach instead of
-    rebuilding.  It degrades transparently wherever shared memory or
-    the fork start method is unavailable.
+    With the prefix cache on, the parent pre-builds the checkpoint chain
+    of every trie group split across several chunks
+    (:func:`_prebuilt_cache`) and the pool initializer installs that
+    cache as every worker's own, so the workers sharing a group start
+    with its chain instead of racing to build it.  Each worker then
+    extends its copy privately; its cache counters in the telemetry
+    sidecar start from the handed-over cache (the pre-build's entries
+    and stores).
 
     Worker crashes are absorbed inside :func:`run_scenario`; only an
     interpreter-level death (signal, OOM kill) can still fail the pool.
-    Each worker process keeps its own prefix cache (snapshots are cheap
-    to hold, and sharing one across processes would serialize on it).
-
-    With the trie off this is the PR 5 path: order-preserving
-    ``pool.map`` over per-scenario payloads, root-only prefix sharing.
     """
     if workers is None:
         workers = autodetect_workers()
@@ -646,130 +656,44 @@ def run_pool(scenarios: Sequence[Scenario], *,
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn")
-    # Telemetry: the aggregator owns a queue in this (parent) process and
-    # drains it on a daemon thread, so events stream live even while the
-    # blocking map/imap call below is in flight; workers receive the
-    # queue sink through the pool initializer.
-    initializer = None
-    initargs: Tuple = ()
-    if bus is not None:
-        initializer = _init_worker_telemetry
-        initargs = (bus.start(context), bus.campaign_id)
     plans = _plan_campaign(scenarios, prefix_cache, prefix_depth)
-    if plans is None or not locality:
-        if chunksize is None:
-            # Small chunks keep the pool load-balanced without paying
-            # per-item IPC for every scenario; determinism never depends
-            # on this.
-            chunksize = max(1, len(scenarios) // (workers * 4))
-        payloads = [(scenario, timeout_s, check_interval, prefix_cache,
-                     cycle_cache, artifacts)
-                    for scenario in scenarios]
-        with context.Pool(processes=workers, initializer=initializer,
-                          initargs=initargs) as pool:
-            results = pool.map(_pool_worker, payloads, chunksize=chunksize)
-        if telemetry is not None:
-            telemetry["prefix_tree"] = _tree_telemetry(None, prefix_depth)
-            telemetry["cycle_cache"] = {"enabled": cycle_cache}
-        _close_bus(bus, results, telemetry)
-        return results
-
-    # Locality-aware dispatch: group scenarios by their deepest shared
-    # prefix key (first-appearance order), split each group into at most
-    # chunksize-sized tasks, and reassemble results by original index.
-    groups: "OrderedDict[str, List[int]]" = OrderedDict()
-    for index, scenario in enumerate(scenarios):
-        key = plans[scenario.scenario_id].group_key
-        groups.setdefault(key, []).append(index)
-
-    transport = None
-    run_id = None
-    if shm is None:
-        from .shm import shm_available
-
-        shm = context.get_start_method() == "fork" and shm_available()
-    if shm:
-        from .shm import SnapshotTransport
-
-        transport = SnapshotTransport()  # parent: names + tracker probe
-        run_id = transport.run_id
-
+    tasks, split = _dispatch_chunks(scenarios, plans, workers, chunksize)
+    cache = _prebuilt_cache(scenarios, plans, split, check_interval) \
+        if prefix_cache else None
     payloads = []
-    split_groups: List[str] = []
-    for key, indices in groups.items():
-        cap = chunksize if chunksize else max(
-            1, -(-len(indices) // workers))
-        if len(indices) > cap:
-            split_groups.append(key)
-        for start in range(0, len(indices), cap):
-            chunk = indices[start:start + cap]
-            payloads.append((
-                tuple(chunk),
-                tuple(scenarios[i] for i in chunk),
-                tuple(plans[scenarios[i].scenario_id] for i in chunk),
-                timeout_s, check_interval, cycle_cache, run_id,
-                artifacts))
-
-    if transport is not None and split_groups:
-        # Pre-build each split group's checkpoint chain once in the
-        # parent and publish it, so the workers sharing that group all
-        # start with a guaranteed zero-copy attach instead of racing
-        # each other to cold-build the same chain (workers launched
-        # together would otherwise each miss every level before anyone
-        # has published it).  Single-chunk groups skip this: their one
-        # worker builds the chain exactly once anyway, and serializing
-        # that build into the parent would only delay dispatch.
-        from .prefix import SnapshotCache, _build_plan_levels
-
-        prebuild_cache = SnapshotCache()
-        for key in split_groups:
-            scenario = scenarios[groups[key][0]]
-            plan = plans[scenario.scenario_id]
-            if plan.capture_levels:
-                _build_plan_levels(scenario, prebuild_cache, plan,
-                                   None, -1,
-                                   check_interval=check_interval,
-                                   transport=transport)
-
+    for task in tasks:
+        chunk = tuple(scenarios[index] for index in task)
+        chunk_plans = None if plans is None else {
+            scenario.scenario_id: plans[scenario.scenario_id]
+            for scenario in chunk}
+        payloads.append((tuple(task), chunk, chunk_plans, timeout_s,
+                         check_interval, cycle_cache, artifacts))
+    # Telemetry: the aggregator owns a queue in this (parent) process and
+    # drains it on a daemon thread, so events stream live while the pool
+    # runs; workers receive the queue sink through the initializer.
+    sink = bus.start(context) if bus is not None else None
+    campaign_id = bus.campaign_id if bus is not None else None
     results: List[Optional[ScenarioResult]] = [None] * len(scenarios)
     worker_stats: Dict[str, Dict] = {}
-    with context.Pool(processes=workers, initializer=initializer,
-                      initargs=initargs) as pool:
-        for indices, group_results, sidecar in pool.imap_unordered(
-                _group_worker, payloads, chunksize=1):
-            for index, result in zip(indices, group_results):
+    with context.Pool(processes=workers, initializer=_init_worker,
+                      initargs=(cache, sink, campaign_id)) as pool:
+        for indices, chunk_results, sidecar in pool.imap_unordered(
+                _chunk_worker, payloads, chunksize=1):
+            for index, result in zip(indices, chunk_results):
                 results[index] = result
             worker_stats[str(sidecar["pid"])] = sidecar
-    unlinked = 0
-    if transport is not None:
-        unlinked = transport.unlink_all(
-            {(key, tick) for plan in plans.values()
-             for _, key, tick in plan.capture_levels})
     if telemetry is not None:
         telemetry["prefix_tree"] = _tree_telemetry(plans, prefix_depth)
         telemetry["workers"] = {
             pid: {"prefix_cache": sidecar["prefix_cache"],
-                  "shm": sidecar["shm"],
-                  "cycle_cache": sidecar.get("cycle_cache")}
+                  "cycle_cache": sidecar["cycle_cache"]}
             for pid, sidecar in sorted(worker_stats.items())}
         cycle_totals: Dict[str, int] = {}
         for sidecar in worker_stats.values():
-            for name, value in (sidecar.get("cycle_cache") or {}).items():
+            for name, value in (sidecar["cycle_cache"] or {}).items():
                 cycle_totals[name] = cycle_totals.get(name, 0) + value
         telemetry["cycle_cache"] = {"enabled": cycle_cache,
                                     **cycle_totals}
-        shm_totals: Dict[str, int] = {}
-        for sidecar in worker_stats.values():
-            for name, value in (sidecar["shm"] or {}).items():
-                shm_totals[name] = shm_totals.get(name, 0) + value
-        if transport is not None:
-            # Parent pre-build publishes count toward the totals too —
-            # without them "every existing segment was published exactly
-            # once" would look violated in the sidecar.
-            for name, value in transport.stats().items():
-                shm_totals[name] = shm_totals.get(name, 0) + value
-        telemetry["shm"] = {"enabled": transport is not None,
-                            "unlinked_segments": unlinked, **shm_totals}
     _close_bus(bus, results, telemetry)  # type: ignore[arg-type]
     return results  # type: ignore[return-value]
 
@@ -782,8 +706,6 @@ def run_campaign(scenarios: Sequence[Scenario], *,
                  prefix_cache: bool = True,
                  cycle_cache: bool = False,
                  prefix_depth: Optional[int] = None,
-                 locality: bool = True,
-                 shm: Optional[bool] = None,
                  telemetry: Optional[Dict] = None,
                  bus=None,
                  artifacts: Optional[ScenarioArtifacts] = None
@@ -814,5 +736,4 @@ def run_campaign(scenarios: Sequence[Scenario], *,
                     prefix_cache=prefix_cache,
                     cycle_cache=cycle_cache,
                     prefix_depth=prefix_depth,
-                    locality=locality, shm=shm, telemetry=telemetry,
-                    bus=bus, artifacts=artifacts)
+                    telemetry=telemetry, bus=bus, artifacts=artifacts)

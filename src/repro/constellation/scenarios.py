@@ -9,7 +9,7 @@ a seed, a tick horizon, scheduled *cross-node* faults and scheduled
 injector).  The campaign engine dispatches on the
 ``is_constellation`` marker: these scenarios run through
 :func:`repro.constellation.runner.run_constellation_scenario` and skip
-the prefix-sharing trie (each is its own locality group).
+the prefix-sharing trie (each is its own dispatch group).
 
 Builders:
 

@@ -155,11 +155,6 @@ class TelemetryPublisher:
             self._publish_worker(f"worker/{self.worker}/cache/{name}",
                                  {"value": value})
 
-    def shm_stats(self, stats: Dict[str, int]) -> None:
-        for name, value in sorted(stats.items()):
-            self._publish_worker(f"worker/{self.worker}/shm/{name}",
-                                 {"value": value})
-
     def cycle_cache_stats(self, stats: Dict[str, int]) -> None:
         for name, value in sorted(stats.items()):
             self._publish_worker(f"worker/{self.worker}/cycle_cache/{name}",

@@ -17,7 +17,7 @@ Hierarchy (one segment per ``/``; ``<angle>`` segments are placeholders):
 * ``campaign/<digest>/scenario/<id>/...`` — per-scenario lifecycle
   (timing channel) and the final deterministic record (det channel).
 * ``worker/<n>/...`` — per-worker-process execution counters
-  (prefix-cache and shared-memory transport stats), timing channel.
+  (prefix-cache and cycle-cache stats), timing channel.
 * ``air/<instrument>`` — the deterministic simulator instruments
   (:data:`repro.obs.instrument.AIR_INSTRUMENTS`).
 * ``bench/<benchmark>/<field>`` — benchmark-artifact fields
@@ -268,14 +268,12 @@ def default_registry() -> TopicRegistry:
 
     Pulls the authoritative name lists from the layers that own them —
     :data:`repro.obs.instrument.AIR_INSTRUMENTS`,
-    :data:`repro.obs.derived.COMPACT_METRIC_NAMES`,
-    :data:`repro.campaign.prefix.SnapshotCache.STAT_KEYS` and
-    :data:`repro.campaign.shm.SnapshotTransport.STAT_KEYS` — so a counter
+    :data:`repro.obs.derived.COMPACT_METRIC_NAMES` and
+    :data:`repro.campaign.prefix.SnapshotCache.STAT_KEYS` — so a counter
     added there without a registry entry fails the governance tests, not
     production.
     """
     from ...campaign.prefix import SnapshotCache
-    from ...campaign.shm import SnapshotTransport
     from ...kernel.cycle_cache import CYCLE_CACHE_STAT_KEYS
     from ...comm.network import LINK_STAT_KEYS
     from ...constellation.comm import NODE_COMM_STAT_KEYS
@@ -335,13 +333,6 @@ def default_registry() -> TopicRegistry:
         description="per-worker prefix-cache counters "
                     "(SnapshotCache.stats)",
         segment_values={"stat": tuple(SnapshotCache.STAT_KEYS)}))
-    registry.register(TopicSpec(
-        pattern="worker/<n>/shm/<stat>",
-        type="counter", units="count", channel=CHANNEL_TIMING,
-        version="1.0.0",
-        description="per-worker shared-memory transport counters "
-                    "(SnapshotTransport.stats)",
-        segment_values={"stat": tuple(SnapshotTransport.STAT_KEYS)}))
     registry.register(TopicSpec(
         pattern="worker/<n>/cycle_cache/<stat>",
         type="counter", units="count", channel=CHANNEL_TIMING,

@@ -7,7 +7,7 @@ counterpart: it consumes the telemetry records the aggregator ingests
 ``panel.feed``) and renders the same bordered-window layout as
 :class:`~repro.vitral.windows.VitralScreen` — a scenario activity window
 (started/forked/finished/crashed lines), a worker-cache gauge window
-(latest prefix-cache and shared-memory counters per worker), and a
+(latest prefix-cache counters per worker), and a
 deterministic-channel window (per-scenario records and the closing
 campaign report as they are derived).
 
@@ -51,8 +51,8 @@ class CampaignPanel:
                                      height=height)
         self.report_window = Window(self.REPORT_WINDOW, width=width,
                                     height=height)
-        #: worker label -> {"cache"|"shm" -> {stat -> value}}
-        self._workers: Dict[str, Dict[str, Dict[str, Any]]] = {}
+        #: worker label -> {prefix-cache stat -> value}
+        self._workers: Dict[str, Dict[str, Any]] = {}
 
     # -------------------------------------------------------------- #
     # record routing
@@ -113,22 +113,18 @@ class CampaignPanel:
 
     def _feed_worker(self, worker: str, section: str, stat: str,
                      payload: Mapping[str, Any]) -> None:
-        if section not in ("cache", "shm"):
+        if section != "cache":
             return
-        stats = self._workers.setdefault(worker, {}).setdefault(section, {})
-        stats[stat] = payload.get("value")
+        self._workers.setdefault(worker, {})[stat] = payload.get("value")
         self._refresh_workers()
 
     def _refresh_workers(self) -> None:
         lines = []
         for worker in sorted(self._workers):
-            for section in ("cache", "shm"):
-                stats = self._workers[worker].get(section)
-                if not stats:
-                    continue
-                rendered = " ".join(f"{name}={stats[name]}"
-                                    for name in sorted(stats))
-                lines.append(f"{worker} {section}: {rendered}")
+            stats = self._workers[worker]
+            rendered = " ".join(f"{name}={stats[name]}"
+                                for name in sorted(stats))
+            lines.append(f"{worker} cache: {rendered}")
         self.workers_window.set_lines(lines)
 
     # -------------------------------------------------------------- #

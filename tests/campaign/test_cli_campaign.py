@@ -33,6 +33,16 @@ class TestRemovedBackendFlag:
         assert "--backend" in capsys.readouterr().err
 
 
+class TestRemovedPoolFlags:
+    @pytest.mark.parametrize("flag", [
+        "--shm", "--no-shm", "--locality", "--no-locality"])
+    def test_pool_flag_is_a_usage_error(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--suite", "fault-matrix", flag])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
 class TestCampaignExitCodes:
     def test_clean_campaign_exits_zero(self, tmp_path, capsys):
         report = tmp_path / "report.json"
@@ -102,7 +112,6 @@ class TestCampaignExitCodes:
         assert "verified: pooled (2 workers) == serial" in out
         document = json.loads(report.read_text())
         assert document["meta"]["prefix_depth"] is None
-        assert document["meta"]["locality"] is True
         execution = document["timing"]["execution"]
         assert execution["prefix_tree"]["enabled"]
         assert execution["prefix_tree"]["planned_scenarios"] == 6
@@ -115,7 +124,7 @@ class TestCampaignExitCodes:
         base = ["campaign", "--suite", "chaos", "--scenarios", "4",
                 "--mtfs", "8", "--shared-seed", "--shared-faults", "2"]
         assert main(base + ["--json", str(tree_on)]) == 0
-        assert main(base + ["--prefix-depth", "0", "--no-locality",
+        assert main(base + ["--prefix-depth", "0",
                             "--json", str(tree_off)]) == 0
         capsys.readouterr()
         on_doc = json.loads(tree_on.read_text())

@@ -59,9 +59,12 @@ class TestRunScenario:
         assert "no-such-chi" in result.error
 
     def test_timeout_degrades_to_timeout_result(self):
+        # The full horizon takes seconds; building the config and the
+        # simulator takes milliseconds.  A 0.5 s budget therefore always
+        # expires mid-run, never before the first span.
         scenario = Scenario(scenario_id="t", factory="prototype",
                             ticks=10_000_000)
-        result = run_scenario(scenario, timeout_s=0.01)
+        result = run_scenario(scenario, timeout_s=0.5)
         assert result.status == STATUS_TIMEOUT
         assert 0 < result.ticks < 10_000_000
         assert "wall-clock" in result.error
@@ -155,6 +158,20 @@ class TestCampaignExecution:
     def test_autodetect_workers_positive(self):
         assert autodetect_workers() >= 1
 
+    def test_pooled_cycle_counters_exclude_the_parents_earlier_runs(self):
+        # Cycle caches live per simulator, so a campaign's counters do
+        # not depend on dispatch.  Forked workers must not carry in the
+        # totals this process accumulated before the pool started.
+        from repro.campaign.scenarios import config_sweep_campaign
+
+        scenarios = config_sweep_campaign(count=4, ticks=8_000)
+        serial, pooled = {}, {}
+        run_serial(scenarios, cycle_cache=True, telemetry=serial)
+        run_pool(scenarios, workers=2, cycle_cache=True, telemetry=pooled)
+        assert serial["cycle_cache"]["hits"] > 0
+        for key in ("hits", "misses", "invalidations"):
+            assert pooled["cycle_cache"][key] == serial["cycle_cache"][key]
+
 
 class TestChaosCampaignDigest:
     """Campaign-scale gate: a 50-scenario chaos barrage produces
@@ -208,9 +225,9 @@ def deterministic(results):
 class TestPrefixTreeDigestEquality:
     """The divergence-trie acceptance gate: over a deep shared-fault
     chaos campaign, the deterministic report is byte-identical across
-    {tree on, tree off} x {serial, pooled at 1/2/4 workers} x dispatch
-    variants — the trie, locality grouping and shared-memory transport
-    are pure optimizations."""
+    {tree on, tree off} x {serial, pooled at 1/2/4 workers} x chunk
+    sizes — the trie, its dispatch grouping and the parent's pre-built
+    chains are pure optimizations."""
 
     @pytest.fixture(scope="class")
     def shared_chaos(self):
@@ -244,31 +261,44 @@ class TestPrefixTreeDigestEquality:
                               prefix_depth=prefix_depth)
         assert deterministic(pooled) == tree_off_report
 
-    def test_locality_off_matches_too(self, shared_chaos, tree_off_report):
-        pooled = run_pool(shared_chaos, workers=2, locality=False)
-        assert deterministic(pooled) == tree_off_report
-
-    def test_shm_off_matches_too(self, shared_chaos, tree_off_report):
-        pooled = run_pool(shared_chaos, workers=2, shm=False)
-        assert deterministic(pooled) == tree_off_report
-
     def test_chunksize_never_changes_the_report(self, shared_chaos,
                                                 tree_off_report):
         pooled = run_pool(shared_chaos, workers=2, chunksize=1)
         assert deterministic(pooled) == tree_off_report
 
-    def test_pool_telemetry_reports_tree_workers_and_shm(self,
-                                                         shared_chaos):
+    def test_pool_hands_prebuilt_chains_to_workers(self, shared_chaos,
+                                                   tree_off_report):
+        # chunksize=3 cuts the one shared group into four tasks, so the
+        # parent pre-builds the group's chain and every worker starts
+        # with it: each lookup hits a pre-built level, none misses.
         telemetry = {}
-        run_pool(shared_chaos, workers=2, telemetry=telemetry)
+        pooled = run_pool(shared_chaos, workers=2, chunksize=3,
+                          telemetry=telemetry)
+        assert deterministic(pooled) == tree_off_report
         tree = telemetry["prefix_tree"]
         assert tree["enabled"]
         assert tree["groups"] >= 1
         assert tree["capture_levels"] >= 1
+        assert telemetry["workers"]
         for stats in telemetry["workers"].values():
-            assert stats["prefix_cache"]["stores"] >= 0
-        assert "enabled" in telemetry["shm"]
-        if telemetry["shm"]["enabled"]:
-            # Every published segment was reclaimed by the parent.
-            assert telemetry["shm"]["unlinked_segments"] == \
-                telemetry["shm"]["publishes"]
+            cache = stats["prefix_cache"]
+            assert cache["entries"] >= tree["capture_levels"]
+            assert cache["hits"] > 0
+            assert cache["misses"] == 0
+
+    def test_spawned_workers_receive_the_prebuilt_chains(
+            self, shared_chaos, tree_off_report, monkeypatch):
+        # Where fork is unavailable the initializer pickles the parent's
+        # pre-built cache into each spawned worker instead.
+        import multiprocessing
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        telemetry = {}
+        pooled = run_pool(shared_chaos, workers=2, chunksize=3,
+                          telemetry=telemetry)
+        assert deterministic(pooled) == tree_off_report
+        assert telemetry["workers"]
+        for stats in telemetry["workers"].values():
+            assert stats["prefix_cache"]["hits"] > 0
+            assert stats["prefix_cache"]["misses"] == 0

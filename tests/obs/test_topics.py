@@ -150,16 +150,15 @@ class TestDefaultRegistry:
             assert registry.validate(f"air/{kind}/{name}") == []
         assert registry.validate("air/counter/not_an_instrument")
 
-    def test_cache_and_shm_stat_topics(self):
+    def test_cache_stat_topics(self):
         from repro.campaign.prefix import SnapshotCache
-        from repro.campaign.shm import SnapshotTransport
 
         registry = default_registry()
         for stat in SnapshotCache.STAT_KEYS:
             assert registry.validate(f"worker/1234/cache/{stat}") == []
-        for stat in SnapshotTransport.STAT_KEYS:
-            assert registry.validate(f"worker/1234/shm/{stat}") == []
         assert registry.validate("worker/1234/cache/not_a_stat")
+        # The shared-memory transport and its topic are gone.
+        assert registry.validate("worker/1234/shm/attaches")
 
     def test_bench_topics(self):
         registry = default_registry()
