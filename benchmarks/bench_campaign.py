@@ -7,15 +7,15 @@ Three suites over the campaign engine (``repro.campaign``):
   asserting the determinism invariant (pooled deterministic report
   byte-identical to serial).  Speedup floor: >= 3x at 4 workers.
 
-* **prefix-tree** (E20) — a deep shared-fault chaos campaign (>= 16
+* **prefix-tree** (E20/E25) — a deep shared-fault chaos campaign (>= 16
   scenarios sharing >= 2 identical leading faults) run with the
-  divergence trie on (``prefix_depth=None``) vs off (``prefix_depth=0``,
-  the root-only prefix sharing of before).  Reports simulated ticks/sec
-  for both and asserts the digest matrix — byte-identical deterministic
-  reports across {serial, pooled x {1, 2, 4}} x {tree on, tree off}.
-  Speedup floor: >= 2x ticks/sec over the root-only baseline, serial.
-  Per-worker prefix-cache hit rates ride in the artifact's
-  nondeterministic ``meta`` sidecar.
+  divergence trie on vs cold (``prefix_cache=False``: every scenario
+  simulated from tick 0).  Reports simulated ticks/sec for both and
+  asserts the digest matrix — byte-identical deterministic reports
+  across {serial, pooled x {1, 2, 4}} x {trie, cold}.  Speedup floor:
+  the median trie/cold ratio over interleaved serial pairs.  Per-worker
+  prefix-cache hit rates ride in the artifact's nondeterministic
+  ``meta`` sidecar.
 
 * **telemetry** (E21) — the E15 fault-matrix workload pooled with the
   campaign telemetry bus fully enabled (live streaming to a discarding
@@ -33,8 +33,8 @@ Runs two ways:
 * ``pytest benchmarks/bench_campaign.py`` — asserts determinism always and
   the speedup floors where the host allows;
 * ``python benchmarks/bench_campaign.py [--scenarios N] [--mtfs N]
-  [--workers N] [--depth N] [--prefix-scenarios N]
-  [--prefix-mtfs N] [--json PATH] [--check]`` — standalone smoke (used by
+  [--workers N] [--prefix-scenarios N] [--prefix-mtfs N]
+  [--json PATH] [--check]`` — standalone smoke (used by
   CI), writing the schema-versioned artifact to ``BENCH_campaign.json``
   in the repo root (via ``bench_lib``).
 """
@@ -42,8 +42,9 @@ Runs two ways:
 from __future__ import annotations
 
 import json
+import statistics
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 import pytest
 
@@ -67,9 +68,16 @@ SPEEDUP_FLOOR = 3.0
 CAMPAIGN_SCENARIOS = 64
 CAMPAIGN_MTFS = 10
 
-#: Acceptance floor: divergence-trie ticks/sec vs root-only sharing on
-#: the deep shared-fault workload, serial.
-PREFIX_SPEEDUP_FLOOR = 2.0
+#: Acceptance floor: divergence-trie ticks/sec vs the cold run on the
+#: deep shared-fault workload, serial, as the median ratio over
+#: interleaved pairs.  The gate it replaces asked for 2.0x over root-only
+#: sharing, and root-only ran at a median 1.107x the cold run's ticks/sec
+#: on this workload (30 interleaved pairs, 2-vCPU host, E25), so
+#: 2.0 x 1.107 = 2.21x over cold is as strict; rounded up.
+PREFIX_SPEEDUP_FLOOR = 2.25
+
+#: Interleaved cold/trie serial pairs behind the prefix-tree ratio.
+PREFIX_PAIRS = 5
 
 #: Acceptance ceiling: enabled-telemetry wall time over disabled on the
 #: E15 workload (ISSUE 8: <= 10% enabled, ~zero disabled).
@@ -137,26 +145,25 @@ def deep_shared_campaign(*, scenarios: int = PREFIX_SCENARIOS,
                           shared_seed=True, shared_faults=shared_faults)
 
 
-def assert_digest_matrix(campaign, *, depth: Optional[int],
-                         worker_counts=(1, 2, 4)) -> int:
-    """Byte-identical reports across dispatch x tree.
+def assert_digest_matrix(campaign, *, worker_counts=(1, 2, 4)) -> int:
+    """Byte-identical reports across dispatch x prefix sharing.
 
-    Runs {serial, pooled x *worker_counts*} x {tree on (*depth*), tree
-    off (0)} and asserts every deterministic report equals the
-    serial/tree-off one.  Returns the number of variants checked.
+    Runs {serial, pooled x *worker_counts*} x {trie, cold} and asserts
+    every deterministic report equals the serial cold one.  Returns the
+    number of variants checked.
     """
-    expected = _report_bytes(run_serial(campaign, prefix_depth=0))
+    expected = _report_bytes(run_serial(campaign, prefix_cache=False))
     checked = 1
-    for prefix_depth in (depth, 0):
+    for prefix_cache in (True, False):
         for workers in (None, *worker_counts):
-            if prefix_depth == 0 and workers is None:
+            if not prefix_cache and workers is None:
                 continue  # the expected variant itself
             if workers is None:
-                results = run_serial(campaign, prefix_depth=prefix_depth)
+                results = run_serial(campaign, prefix_cache=prefix_cache)
             else:
                 results = run_campaign(campaign, workers=workers,
-                                       prefix_depth=prefix_depth)
-            label = (f"depth={prefix_depth} "
+                                       prefix_cache=prefix_cache)
+            label = (f"{'trie' if prefix_cache else 'cold'} "
                      f"workers={workers or 'serial'}")
             assert _report_bytes(results) == expected, \
                 f"digest mismatch: {label}"
@@ -180,62 +187,78 @@ def _worker_sidecar(telemetry: Dict) -> Dict:
             "prefix_tree": telemetry.get("prefix_tree")}
 
 
+def _timed(run):
+    start = time.perf_counter()
+    results = run()
+    return results, time.perf_counter() - start
+
+
 def run_prefix_benchmark(*, scenarios: int = PREFIX_SCENARIOS,
                          mtfs: int = PREFIX_MTFS,
                          shared_faults: int = PREFIX_SHARED_FAULTS,
-                         depth: Optional[int] = None, workers: int = 4,
+                         workers: int = 4,
                          digest_matrix: bool = True) -> Dict:
-    """Time tree-on vs tree-off (root-only) on the deep shared workload."""
+    """Time the trie vs cold on the deep shared workload.
+
+    The serial speedup is the median of ``PREFIX_PAIRS`` per-pair ratios,
+    the two runs of each pair back to back in alternating order, so host
+    drift between pairs cancels.  The pooled modes get one sample each.
+    """
     campaign = deep_shared_campaign(scenarios=scenarios, mtfs=mtfs,
                                     shared_faults=shared_faults)
+    cold_times = []
+    tree_times = []
+    for index in range(PREFIX_PAIRS):
+        order = (False, True) if index % 2 == 0 else (True, False)
+        for prefix_cache in order:
+            results, seconds = _timed(
+                lambda: run_serial(campaign, prefix_cache=prefix_cache))
+            if prefix_cache:
+                tree = results
+                tree_times.append(seconds)
+            else:
+                cold = results
+                cold_times.append(seconds)
+    total_ticks = sum(result.ticks for result in cold)
+    ratios = [c / t for c, t in zip(cold_times, tree_times)]
+    cold_s = statistics.median(cold_times)
+    tree_s = statistics.median(tree_times)
 
-    start = time.perf_counter()
-    baseline = run_serial(campaign, prefix_depth=0)
-    baseline_s = time.perf_counter() - start
-    total_ticks = sum(result.ticks for result in baseline)
-
-    start = time.perf_counter()
-    tree = run_serial(campaign, prefix_depth=depth)
-    tree_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    pooled_baseline = run_pool(campaign, workers=workers, prefix_depth=0)
-    pooled_baseline_s = time.perf_counter() - start
-
+    pooled_cold, pooled_cold_s = _timed(
+        lambda: run_pool(campaign, workers=workers, prefix_cache=False))
     telemetry: Dict = {}
-    start = time.perf_counter()
-    pooled_tree = run_pool(campaign, workers=workers, prefix_depth=depth,
-                           telemetry=telemetry)
-    pooled_tree_s = time.perf_counter() - start
+    pooled_tree, pooled_tree_s = _timed(
+        lambda: run_pool(campaign, workers=workers, telemetry=telemetry))
 
-    expected = _report_bytes(baseline)
-    for results in (tree, pooled_baseline, pooled_tree):
+    expected = _report_bytes(cold)
+    for results in (tree, pooled_cold, pooled_tree):
         assert _report_bytes(results) == expected, \
             "prefix-tree variant changed the deterministic report"
-    assert all(result.ok for result in baseline), \
+    assert all(result.ok for result in cold), \
         "deep shared-fault campaign had failing scenarios"
 
     matrix_checked = 0
     if digest_matrix:
-        matrix_checked = assert_digest_matrix(campaign, depth=depth)
+        matrix_checked = assert_digest_matrix(campaign)
 
     return {
         "scenarios": scenarios,
         "mtfs": mtfs,
         "shared_faults": shared_faults,
-        "depth": depth,
+        "pairs": PREFIX_PAIRS,
         "workers": workers,
         "total_ticks": total_ticks,
-        "baseline_s": baseline_s,
+        "cold_s": cold_s,
         "tree_s": tree_s,
-        "pooled_baseline_s": pooled_baseline_s,
+        "pooled_cold_s": pooled_cold_s,
         "pooled_tree_s": pooled_tree_s,
-        "baseline_ticks_per_s": total_ticks / baseline_s,
+        "cold_ticks_per_s": total_ticks / cold_s,
         "tree_ticks_per_s": total_ticks / tree_s,
-        "pooled_baseline_ticks_per_s": total_ticks / pooled_baseline_s,
+        "pooled_cold_ticks_per_s": total_ticks / pooled_cold_s,
         "pooled_tree_ticks_per_s": total_ticks / pooled_tree_s,
-        "serial_speedup": baseline_s / tree_s,
-        "pooled_speedup": pooled_baseline_s / pooled_tree_s,
+        "serial_speedup": statistics.median(ratios),
+        "serial_speedup_range": (min(ratios), max(ratios)),
+        "pooled_speedup": pooled_cold_s / pooled_tree_s,
         "digest_matrix_checked": matrix_checked,
         "sidecar": _worker_sidecar(telemetry),
     }
@@ -324,10 +347,9 @@ def test_speedup_floor_at_four_workers():
 
 
 def test_prefix_tree_digest_matrix_small():
-    """The full dispatch x tree matrix at smoke scale."""
+    """The full dispatch x {trie, cold} matrix at smoke scale."""
     campaign = deep_shared_campaign(scenarios=8, mtfs=12, shared_faults=2)
-    assert assert_digest_matrix(campaign, depth=None,
-                                worker_counts=(2,)) == 4
+    assert assert_digest_matrix(campaign, worker_counts=(2,)) == 4
 
 
 def test_telemetry_on_matches_off_at_smoke_scale():
@@ -347,11 +369,14 @@ def test_telemetry_overhead_ceiling():
 
 
 def test_prefix_tree_serial_speedup_floor():
-    """Serial trie speedup needs no extra CPUs — asserted everywhere."""
+    """Serial trie speedup over cold needs no extra CPUs — asserted
+    everywhere, on the median of interleaved pairs."""
     numbers = run_prefix_benchmark(workers=2, digest_matrix=False)
+    low, high = numbers["serial_speedup_range"]
     assert numbers["serial_speedup"] >= PREFIX_SPEEDUP_FLOOR, (
-        f"prefix-tree speedup {numbers['serial_speedup']:.2f}x serial "
-        f"below the {PREFIX_SPEEDUP_FLOOR}x floor")
+        f"prefix-tree speedup median {numbers['serial_speedup']:.2f}x "
+        f"over cold (pairs {low:.2f}-{high:.2f}x) below the "
+        f"{PREFIX_SPEEDUP_FLOOR}x floor")
 
 
 # ------------------------------------------------------------------ #
@@ -370,9 +395,6 @@ def main() -> int:
     parser.add_argument("--json", default=None,
                         help="artifact path (default: BENCH_campaign.json "
                              "in the repo root)")
-    parser.add_argument("--depth", type=int, default=None,
-                        help="divergence-trie depth cap for the "
-                             "prefix-tree suite (default: unlimited)")
     parser.add_argument("--prefix-scenarios", type=int,
                         default=PREFIX_SCENARIOS,
                         help="scenario count for the prefix-tree suite")
@@ -412,25 +434,25 @@ def main() -> int:
 
     prefix = run_prefix_benchmark(
         scenarios=args.prefix_scenarios, mtfs=args.prefix_mtfs,
-        shared_faults=args.shared_faults, depth=args.depth,
-        workers=args.workers)
+        shared_faults=args.shared_faults, workers=args.workers)
+    low, high = prefix["serial_speedup_range"]
     print(f"prefix-tree: {prefix['scenarios']} scenarios x "
           f"{prefix['mtfs']} MTFs, {prefix['shared_faults']} shared "
-          f"leading faults, depth="
-          f"{'unlimited' if prefix['depth'] is None else prefix['depth']}")
-    print(f"  root-only serial : {prefix['baseline_s']:8.3f}s "
-          f"({prefix['baseline_ticks_per_s']:12,.0f} ticks/s)")
+          f"leading faults, {prefix['pairs']} interleaved serial pairs")
+    print(f"  cold serial      : {prefix['cold_s']:8.3f}s "
+          f"({prefix['cold_ticks_per_s']:12,.0f} ticks/s, median)")
     print(f"  trie serial      : {prefix['tree_s']:8.3f}s "
-          f"({prefix['tree_ticks_per_s']:12,.0f} ticks/s, "
-          f"{prefix['serial_speedup']:.2f}x)")
-    print(f"  root-only pooled : {prefix['pooled_baseline_s']:8.3f}s "
-          f"({prefix['pooled_baseline_ticks_per_s']:12,.0f} ticks/s, "
+          f"({prefix['tree_ticks_per_s']:12,.0f} ticks/s, median; "
+          f"{prefix['serial_speedup']:.2f}x median of pair ratios, "
+          f"{low:.2f}-{high:.2f}x)")
+    print(f"  cold pooled      : {prefix['pooled_cold_s']:8.3f}s "
+          f"({prefix['pooled_cold_ticks_per_s']:12,.0f} ticks/s, "
           f"{args.workers} workers)")
     print(f"  trie pooled      : {prefix['pooled_tree_s']:8.3f}s "
           f"({prefix['pooled_tree_ticks_per_s']:12,.0f} ticks/s, "
           f"{prefix['pooled_speedup']:.2f}x)")
     print(f"  digest matrix    : {prefix['digest_matrix_checked']} "
-          f"variants byte-identical (dispatch x tree)")
+          f"variants byte-identical (dispatch x {{trie, cold}})")
 
     matrix = f"fault-matrix-{args.scenarios}x{args.mtfs}"
     deep = (f"prefix-tree-{prefix['scenarios']}x{prefix['mtfs']}"
@@ -448,14 +470,14 @@ def main() -> int:
                         speedup_reference="serial",
                         digests_asserted=True,
                         speedup_floor=SPEEDUP_FLOOR),
-        workload_record(deep, mode="root-only",
-                        ticks_per_s=prefix["baseline_ticks_per_s"],
+        workload_record(deep, mode="cold",
+                        ticks_per_s=prefix["cold_ticks_per_s"],
                         digests_asserted=True),
         workload_record(deep, mode="prefix-tree",
                         ticks_per_s=prefix["tree_ticks_per_s"],
                         speedup=prefix["serial_speedup"],
-                        speedup_reference="root-only prefix sharing, "
-                                          "serial",
+                        speedup_reference="cold run, serial (median "
+                                          "of interleaved pairs)",
                         digests_asserted=True,
                         speedup_floor=PREFIX_SPEEDUP_FLOOR,
                         digest_matrix_variants=prefix[
@@ -464,8 +486,8 @@ def main() -> int:
                         mode=f"prefix-tree-pooled-{args.workers}",
                         ticks_per_s=prefix["pooled_tree_ticks_per_s"],
                         speedup=prefix["pooled_speedup"],
-                        speedup_reference="root-only prefix sharing, "
-                                          "same worker count",
+                        speedup_reference="cold run, same worker "
+                                          "count",
                         digests_asserted=True),
         workload_record(matrix,
                         mode=f"telemetry-enabled-{args.workers}",

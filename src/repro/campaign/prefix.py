@@ -15,8 +15,6 @@ This module removes that redundancy at every level of the divergence tree:
 * :func:`scenario_fingerprint` — content digest of everything that shapes
   a scenario's pre-divergence execution (config factory, seed, kwargs,
   inline config document);
-* :func:`divergence_tick` — the first tick at which a scenario stops being
-  a pure prefix run (its earliest fault or schedule command);
 * :func:`prefix_key` — the fingerprint extended with the scenario's first
   *depth* timeline events; equal keys mean bit-identical execution up to
   the next event, so interior checkpoints (snapshots taken *after* shared
@@ -36,7 +34,7 @@ This module removes that redundancy at every level of the divergence tree:
 Correctness rests on the snapshot layer's bit-identity contract (tested by
 the fork-equivalence matrix): a forked run's trace digest, metrics and
 oracle verdict equal a cold run's, so the campaign digest is identical
-with the cache on or off, at any worker count and any trie depth.
+with the cache on or off and at any worker count.
 Interior checkpoints carry the fault injector's applied log in the
 snapshot's ``extras`` side-channel; a forked run seeds its injector from
 it and schedules only the not-yet-applied remainder of the timeline, so
@@ -48,7 +46,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -64,7 +61,6 @@ __all__ = [
     "PrefixPlan",
     "SnapshotCache",
     "build_divergence_trie",
-    "divergence_tick",
     "prefix_key",
     "prefix_levels",
     "run_with_prefix_cache",
@@ -74,10 +70,9 @@ __all__ = [
 #: Prefixes shorter than this are not worth a capture/restore round trip.
 MIN_PREFIX_TICKS: Ticks = 256
 
-#: Snapshot ticks are quantized down to multiples of this, so scenarios
-#: whose divergence ticks fall in the same quantum share one cache entry
-#: (one capture + pickle, many forks) instead of each capturing its own.
-#: The sub-quantum remainder is simply simulated inside the forked run.
+#: Capture ticks are quantized down to multiples of this, so sharers
+#: whose boundaries fall in the same quantum meet at one checkpoint.  The
+#: sub-quantum remainder is simply simulated inside the forked run.
 PREFIX_QUANTUM: Ticks = 1024
 
 
@@ -101,27 +96,13 @@ def scenario_fingerprint(scenario: Scenario) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def divergence_tick(scenario: Scenario) -> Ticks:
-    """First tick at which *scenario* stops being a pure prefix run.
-
-    The earliest fault or schedule-command tick, clamped to the scenario
-    horizon.  A fault at tick T applies before T's clock ISR, so a
-    snapshot taken *at* tick T is still strictly pre-divergence.
-    """
-    events = [tick for tick, _ in scenario.faults]
-    events += [tick for tick, _ in scenario.schedule_commands]
-    first = min(events) if events else scenario.ticks
-    return max(0, min(first, scenario.ticks))
-
-
 def prefix_key(scenario: Scenario, depth: int) -> str:
     """Content key of the scenario's execution prefix through *depth* events.
 
     ``depth == 0`` is the fault-free root and returns
-    :func:`scenario_fingerprint` unchanged (PR 5 cache entries and trie
-    roots are the same namespace).  Deeper keys fold in the first *depth*
-    entries of :meth:`Scenario.timeline` — ticks and full fault payloads —
-    so two scenarios with equal ``prefix_key(s, d)`` execute
+    :func:`scenario_fingerprint` unchanged.  Deeper keys fold in the first
+    *depth* entries of :meth:`Scenario.timeline` — ticks and full fault
+    payloads — so two scenarios with equal ``prefix_key(s, d)`` execute
     bit-identically until their ``d``-th event (exclusive): same
     configuration and seed, same faults applied at the same ticks.
     """
@@ -172,8 +153,7 @@ class PrefixPlan:
         return tuple(reversed(self.capture_levels))
 
 
-def prefix_levels(scenario: Scenario, *, quantum: Ticks = PREFIX_QUANTUM,
-                  max_depth: Optional[int] = None
+def prefix_levels(scenario: Scenario, *, quantum: Ticks = PREFIX_QUANTUM
                   ) -> List[Tuple[int, str, Ticks]]:
     """Enumerate the scenario's usable fork levels.
 
@@ -183,7 +163,7 @@ def prefix_levels(scenario: Scenario, *, quantum: Ticks = PREFIX_QUANTUM,
     A level is usable when the capture tick clears
     :data:`MIN_PREFIX_TICKS` and does not quantize below the last applied
     event (the checkpoint must sit *after* everything it claims to have
-    applied).  *max_depth* truncates the enumeration (``0`` = root only).
+    applied).
     """
     if quantum < 1:
         raise ValueError(f"quantum must be >= 1, got {quantum}")
@@ -195,11 +175,8 @@ def prefix_levels(scenario: Scenario, *, quantum: Ticks = PREFIX_QUANTUM,
         return []
     events = scenario.timeline()
     horizon = scenario.ticks
-    limit = len(events)
-    if max_depth is not None:
-        limit = min(limit, max(0, max_depth))
     levels: List[Tuple[int, str, Ticks]] = []
-    for depth in range(limit + 1):
+    for depth in range(len(events) + 1):
         boundary = events[depth][0] if depth < len(events) else horizon
         boundary = min(boundary, horizon)
         snap = (boundary // quantum) * quantum
@@ -212,8 +189,7 @@ def prefix_levels(scenario: Scenario, *, quantum: Ticks = PREFIX_QUANTUM,
 
 
 def build_divergence_trie(scenarios: Sequence[Scenario], *,
-                          quantum: Ticks = PREFIX_QUANTUM,
-                          max_depth: Optional[int] = None
+                          quantum: Ticks = PREFIX_QUANTUM
                           ) -> Dict[str, PrefixPlan]:
     """Plan the campaign's shared checkpoints: scenario id -> PrefixPlan.
 
@@ -230,8 +206,7 @@ def build_divergence_trie(scenarios: Sequence[Scenario], *,
     per_scenario: Dict[str, List[Tuple[int, str, Ticks]]] = {}
     boundaries: Dict[str, List[Ticks]] = {}
     for scenario in scenarios:
-        levels = prefix_levels(scenario, quantum=quantum,
-                               max_depth=max_depth)
+        levels = prefix_levels(scenario, quantum=quantum)
         per_scenario[scenario.scenario_id] = levels
         for _, key, snap in levels:
             boundaries.setdefault(key, []).append(snap)
@@ -267,25 +242,11 @@ class SnapshotCache:
     snapshot state and never mutates it (pinned by the repeated-fork
     entries of the fork-equivalence matrix).
 
-    Two independent LRU bounds apply: *capacity* (entry count) and
-    *max_bytes* (sum of stored payload sizes; ``None`` = unbounded).
-    With *compress_level* set, payloads are zlib-compressed at ``put`` —
-    the byte budget then meters compressed sizes — and every consumer
-    decompresses transparently through the magic-byte sniffing in
-    :meth:`SimulatorSnapshot.from_bytes`.
-
-    A payload larger than *max_bytes* on its own is **rejected** (counted
-    in ``rejects``) rather than inserted: inserting it would force every
-    other entry out and still leave the budget blown, so the next insert
-    would evict it in turn — an eviction-thrash loop where the cache holds
-    at most one oversized entry and rebuilds everything else forever.
-    Because every accepted payload fits the budget, eviction never needs
-    to touch the entry just inserted.
-
-    Re-``put`` of an existing key is an explicit **refresh** (counted in
-    ``refreshes``, not ``stores``): the payload is replaced and the
-    memoized snapshot reset, so a caller that rebuilt a prefix never
-    leaves a stale payload behind.
+    At most *capacity* entries are kept; inserting past it evicts the
+    least recently used entry.  Re-``put`` of an existing key is an
+    explicit **refresh** (counted in ``refreshes``, not ``stores``): the
+    payload is replaced and the memoized snapshot reset, so a caller that
+    rebuilt a prefix never leaves a stale payload behind.
 
     All counters (including the byte totals) describe cache behaviour
     only — they belong to the nondeterministic reporting sidecar, never
@@ -295,32 +256,22 @@ class SnapshotCache:
     #: The fixed key set :meth:`stats` emits.  The governed telemetry
     #: namespace constrains ``worker/<n>/cache/<stat>`` to this set.
     STAT_KEYS = ("entries", "hits", "misses", "stores", "refreshes",
-                 "rejects", "evictions", "total_bytes", "stored_bytes",
-                 "hit_bytes", "evicted_bytes")
+                 "evictions", "total_bytes", "stored_bytes", "hit_bytes",
+                 "evicted_bytes")
 
     #: Entry-count bound when none is given.
     DEFAULT_CAPACITY = 16
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY,
-                 max_bytes: Optional[int] = None,
-                 compress_level: Optional[int] = None) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
-        if compress_level is not None and not 0 <= compress_level <= 9:
-            raise ValueError(
-                f"compress_level must be in 0..9, got {compress_level}")
         self.capacity = capacity
-        self.max_bytes = max_bytes
-        self.compress_level = compress_level
         # key -> [payload bytes, memoized SimulatorSnapshot or None]
         self._entries: "OrderedDict[Tuple[str, Ticks], list]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.stores = 0
         self.refreshes = 0
-        self.rejects = 0
         self.evictions = 0
         self.total_bytes = 0
         self.stored_bytes = 0
@@ -331,20 +282,13 @@ class SnapshotCache:
         return len(self._entries)
 
     def put(self, fingerprint: str, tick: Ticks, payload: bytes,
-            snapshot: Optional[SimulatorSnapshot] = None) -> bool:
+            snapshot: Optional[SimulatorSnapshot] = None) -> None:
         """Insert or refresh the snapshot at ``(fingerprint, tick)``.
 
-        Returns False (and counts a reject) when the payload alone
-        exceeds *max_bytes*; True otherwise.  An existing key is
-        refreshed in place: payload replaced, memoized snapshot reset to
-        *snapshot*, recency touched.
+        An existing key is refreshed in place: payload replaced, memoized
+        snapshot reset to *snapshot*, recency touched.
         """
         key = (fingerprint, tick)
-        if self.compress_level is not None:
-            payload = zlib.compress(payload, self.compress_level)
-        if self.max_bytes is not None and len(payload) > self.max_bytes:
-            self.rejects += 1
-            return False
         entry = self._entries.get(key)
         if entry is not None:
             self.total_bytes -= len(entry[0])
@@ -357,24 +301,17 @@ class SnapshotCache:
             self.stores += 1
         self.total_bytes += len(payload)
         self.stored_bytes += len(payload)
-        while (len(self._entries) > self.capacity
-               or (self.max_bytes is not None
-                   and self.total_bytes > self.max_bytes)):
-            oldest = next(iter(self._entries))
-            if oldest == key:  # never evict the just-inserted entry
-                break
-            evicted = self._entries.pop(oldest)
+        while len(self._entries) > self.capacity:
+            _, evicted = self._entries.popitem(last=False)
             self.evictions += 1
             self.total_bytes -= len(evicted[0])
             self.evicted_bytes += len(evicted[0])
-        return True
 
-    def get(self, fingerprint: str, tick: Ticks) -> Optional[bytes]:
-        """Exact payload lookup; counts a hit or miss, refreshes recency.
+    def get_snapshot(self, fingerprint: str,
+                     tick: Ticks) -> Optional[SimulatorSnapshot]:
+        """Exact lookup as a live snapshot, unpickling at most once.
 
-        The returned bytes may be zlib-compressed (when the cache runs a
-        compression tier); :meth:`SimulatorSnapshot.from_bytes` sniffs
-        and handles both forms.
+        Counts a hit or miss and refreshes recency.
         """
         entry = self._entries.get((fingerprint, tick))
         if entry is None:
@@ -382,50 +319,29 @@ class SnapshotCache:
             return None
         self.hits += 1
         self.hit_bytes += len(entry[0])
-        self._entries.move_to_end((fingerprint, tick))
-        return entry[0]
+        return self.peek(fingerprint, tick)
 
-    def get_snapshot(self, fingerprint: str,
-                     tick: Ticks) -> Optional[SimulatorSnapshot]:
-        """Exact lookup as a live snapshot, unpickling at most once."""
+    def peek(self, fingerprint: str,
+             tick: Ticks) -> Optional[SimulatorSnapshot]:
+        """:meth:`get_snapshot` without touching the hit/miss counters.
+
+        For lookups that are not a scenario fork (a chain builder
+        checking whether a sibling group already built its root), so the
+        counters keep counting forks only.
+        """
         entry = self._entries.get((fingerprint, tick))
         if entry is None:
-            self.misses += 1
             return None
-        self.hits += 1
-        self.hit_bytes += len(entry[0])
         self._entries.move_to_end((fingerprint, tick))
         if entry[1] is None:
             entry[1] = SimulatorSnapshot.from_bytes(entry[0])
         return entry[1]
 
-    def best_prefix(self, fingerprint: str,
-                    max_tick: Ticks) -> Optional[Tuple[Ticks, bytes]]:
-        """Longest cached prefix of *fingerprint* at or before *max_tick*.
-
-        Advisory (used to extend a shorter prefix rather than rebuild
-        from cold); does not touch the hit/miss counters but does refresh
-        the winner's LRU recency (an entry still seeding new builds is an
-        entry worth keeping).  Ties cannot arise — keys are unique per
-        ``(fingerprint, tick)`` — and among candidates the *highest* tick
-        at or below the cap wins.
-        """
-        best: Optional[Tuple[Ticks, bytes]] = None
-        for (cached_fp, tick), entry in self._entries.items():
-            if cached_fp != fingerprint or tick > max_tick:
-                continue
-            if best is None or tick > best[0]:
-                best = (tick, entry[0])
-        if best is not None:
-            self._entries.move_to_end((fingerprint, best[0]))
-        return best
-
     def stats(self) -> Dict[str, int]:
         """Counters for the nondeterministic reporting sidecar."""
         return {"entries": len(self._entries), "hits": self.hits,
                 "misses": self.misses, "stores": self.stores,
-                "refreshes": self.refreshes, "rejects": self.rejects,
-                "evictions": self.evictions,
+                "refreshes": self.refreshes, "evictions": self.evictions,
                 "total_bytes": self.total_bytes,
                 "stored_bytes": self.stored_bytes,
                 "hit_bytes": self.hit_bytes,
@@ -444,31 +360,33 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
                        ) -> Optional[SimulatorSnapshot]:
     """Build and cache the plan's missing checkpoints.
 
-    Starts from *base_snapshot* (a hit at *base_depth*), else from the
-    longest cached fault-free root below the first capture tick, else
-    cold; schedules timeline events incrementally so a checkpoint at
-    level *d* has exactly the first *d* events applied and nothing deeper
-    pending.  Returns the deepest checkpoint reached (or *base_snapshot*
-    if nothing new was needed); returns None to degrade on any failure.
+    Starts from *base_snapshot* (a hit at *base_depth*); without one,
+    from the plan's fault-free root when the cache already holds it
+    (a sibling group sharing the root built it first — the trie pins
+    every key to one tick, so the exact ``(root key, tick)`` entry is the
+    only candidate), else cold.  Schedules timeline events incrementally
+    so a checkpoint at level *d* has exactly the first *d* events applied
+    and nothing deeper pending.  Returns the deepest checkpoint reached
+    (or the starting one if nothing new was needed); returns None to
+    degrade on any failure.
     """
     from ..fault.injector import FaultInjector
     from ..kernel.simulator import Simulator
 
     try:
+        if base_snapshot is None:
+            root_depth, root_key, root_tick = plan.capture_levels[0]
+            if root_depth == 0:
+                base_snapshot = cache.peek(root_key, root_tick)
+                if base_snapshot is not None:
+                    base_depth = 0
         config = scenario.build_config()
         cursor = 0
         if base_snapshot is not None:
             simulator = base_snapshot.restore(config)
             cursor = base_depth
         else:
-            root_depth, root_key, root_tick = plan.capture_levels[0]
-            base = (cache.best_prefix(root_key, root_tick)
-                    if root_depth == 0 else None)
-            if base is not None:
-                simulator = SimulatorSnapshot.from_bytes(
-                    base[1]).restore(config)
-            else:
-                simulator = Simulator(config)
+            simulator = Simulator(config)
         injector = FaultInjector(simulator)
         if base_snapshot is not None and base_snapshot.extras:
             state = base_snapshot.extras.get("injector")
@@ -494,28 +412,19 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
 
 
 def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
+                          plan: PrefixPlan,
                           timeout_s: Optional[float] = None,
                           check_interval: int = 20_000,
-                          quantum: Ticks = PREFIX_QUANTUM,
                           cycle_cache: bool = False,
-                          plan: Optional[PrefixPlan] = None,
                           publisher=None,
                           artifacts=None):
     """Run *scenario*, sharing its execution prefix through *cache*.
 
-    Without a *plan* this is root-only sharing (the PR 5 behaviour): the
-    snapshot tick is the scenario's divergence tick quantized down to a
-    multiple of *quantum*, so scenarios whose divergence ticks land in
-    the same quantum fork from one shared cache entry (the sub-quantum
-    remainder is simulated inside the forked run, where it costs one
-    event-core pass).  On a miss the prefix is built once — extending the
-    longest shorter cached prefix when one exists, from cold otherwise —
-    cached, and forked.
-
-    With a *plan* (one scenario's slice of :func:`build_divergence_trie`)
-    the lookup walks the scenario's fork levels deepest-first and forks
-    from the deepest cached ancestor, building and caching every missing
-    checkpoint on the way.
+    *plan* is the scenario's slice of :func:`build_divergence_trie`: the
+    lookup walks its fork levels deepest-first, forks from the deepest
+    cached ancestor, and builds and caches every missing checkpoint on
+    the way.  An empty plan (nothing shared, or a constellation) is a
+    plain cold run.
 
     Prefix construction failures degrade to an uncached cold run: the
     cache is an optimization, never a correctness dependency.
@@ -525,63 +434,21 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
     so cached checkpoints are byte-identical whichever mode the
     scenarios forking from them use.
     """
-    from ..kernel.simulator import Simulator
     from .runner import run_scenario
 
-    if quantum < 1:
-        raise ValueError(f"quantum must be >= 1, got {quantum}")
-    if getattr(scenario, "is_constellation", False):
-        # Constellations never fork from snapshots; run_scenario
-        # dispatches to the constellation runner (and refuses
-        # *cycle_cache* there).
-        return run_scenario(scenario, timeout_s=timeout_s,
-                            check_interval=check_interval,
-                            cycle_cache=cycle_cache, publisher=publisher,
-                            artifacts=artifacts)
-    if plan is not None:
-        snapshot = None
-        found_depth = -1
-        for depth, key, tick in plan.fork_levels:
-            snapshot = cache.get_snapshot(key, tick)
-            if snapshot is not None:
-                found_depth = depth
-                break
-        if plan.capture_levels and \
-                found_depth < plan.capture_levels[-1][0]:
-            built = _build_plan_levels(
-                scenario, cache, plan, snapshot, found_depth,
-                check_interval=check_interval)
-            if built is not None:
-                snapshot = built
-        return run_scenario(scenario, timeout_s=timeout_s,
-                            check_interval=check_interval,
-                            from_snapshot=snapshot,
-                            cycle_cache=cycle_cache,
-                            publisher=publisher,
-                            artifacts=artifacts)
-    snap_tick = (divergence_tick(scenario) // quantum) * quantum
-    if snap_tick < MIN_PREFIX_TICKS:
-        return run_scenario(scenario, timeout_s=timeout_s,
-                            check_interval=check_interval,
-                            cycle_cache=cycle_cache,
-                            publisher=publisher,
-                            artifacts=artifacts)
-    fingerprint = scenario_fingerprint(scenario)
-    snapshot = cache.get_snapshot(fingerprint, snap_tick)
-    if snapshot is None:
-        base = cache.best_prefix(fingerprint, snap_tick)
-        try:
-            config = scenario.build_config()
-            if base is not None:
-                simulator = SimulatorSnapshot.from_bytes(
-                    base[1]).restore(config)
-            else:
-                simulator = Simulator(config)
-            simulator.run_fast(snap_tick - simulator.now)
-            snapshot = SimulatorSnapshot.capture(simulator)
-            cache.put(fingerprint, snap_tick, snapshot.to_bytes(), snapshot)
-        except Exception:  # noqa: BLE001 — degrade to a cold run
-            snapshot = None
+    snapshot = None
+    found_depth = -1
+    for depth, key, tick in plan.fork_levels:
+        snapshot = cache.get_snapshot(key, tick)
+        if snapshot is not None:
+            found_depth = depth
+            break
+    if plan.capture_levels and found_depth < plan.capture_levels[-1][0]:
+        built = _build_plan_levels(scenario, cache, plan, snapshot,
+                                   found_depth,
+                                   check_interval=check_interval)
+        if built is not None:
+            snapshot = built
     return run_scenario(scenario, timeout_s=timeout_s,
                         check_interval=check_interval,
                         from_snapshot=snapshot,

@@ -371,8 +371,7 @@ def _run_chunk(chunk: Sequence[Scenario], plans, cache, *,
                ) -> List[ScenarioResult]:
     """Run *chunk* in order: cold without a *cache*, otherwise forking
     through it along each scenario's trie plan (*plans*: scenario id ->
-    :class:`~repro.campaign.prefix.PrefixPlan`, None = root-only
-    sharing)."""
+    :class:`~repro.campaign.prefix.PrefixPlan`)."""
     if cache is None:
         return [run_scenario(scenario, timeout_s=timeout_s,
                              check_interval=check_interval,
@@ -384,7 +383,7 @@ def _run_chunk(chunk: Sequence[Scenario], plans, cache, *,
     return [run_with_prefix_cache(
                 scenario, cache, timeout_s=timeout_s,
                 check_interval=check_interval, cycle_cache=cycle_cache,
-                plan=None if plans is None else plans[scenario.scenario_id],
+                plan=plans[scenario.scenario_id],
                 publisher=publisher, artifacts=artifacts)
             for scenario in chunk]
 
@@ -421,19 +420,15 @@ def _chunk_worker(payload):
     return indices, results, sidecar
 
 
-def _plan_campaign(scenarios: Sequence[Scenario], prefix_cache: bool,
-                   prefix_depth: Optional[int]):
-    """The campaign's divergence trie, or None for root-only sharing.
-
-    ``prefix_depth=0`` (or a disabled cache) turns the trie off entirely:
-    execution takes the exact PR 5 root-only path, which is what the
-    tree-on == tree-off digest gates compare against.
-    """
-    if not prefix_cache or prefix_depth == 0:
+def _plan_campaign(scenarios: Sequence[Scenario], prefix_cache: bool):
+    """The campaign's divergence trie, or None with the cache off (every
+    scenario then runs cold, the reference the digest gates compare the
+    trie against)."""
+    if not prefix_cache:
         return None
     from .prefix import build_divergence_trie
 
-    return build_divergence_trie(scenarios, max_depth=prefix_depth)
+    return build_divergence_trie(scenarios)
 
 
 def _close_bus(bus, results: Sequence[ScenarioResult],
@@ -452,7 +447,6 @@ def run_serial(scenarios: Sequence[Scenario], *,
                check_interval: int = TIMEOUT_CHECK_INTERVAL,
                prefix_cache: bool = True,
                cycle_cache: bool = False,
-               prefix_depth: Optional[int] = None,
                telemetry: Optional[Dict] = None,
                bus=None,
                artifacts: Optional[ScenarioArtifacts] = None
@@ -462,10 +456,9 @@ def run_serial(scenarios: Sequence[Scenario], *,
     With *prefix_cache* (the default) scenarios sharing a configuration
     and seed fork from cached snapshots of their common prefixes — the
     fault-free root and, via the divergence trie, interior checkpoints
-    after shared faults (*prefix_depth* caps the trie depth; ``0`` =
-    root-only, ``None`` = unlimited); results are bit-identical either
-    way.  *telemetry*, when a dict, receives nondeterministic cache
-    counters for the reporting sidecar.
+    after shared faults; results are bit-identical either way.
+    *telemetry*, when a dict, receives nondeterministic cache counters
+    for the reporting sidecar.
 
     *bus* (a :class:`~repro.obs.telemetry.TelemetryAggregator`) turns on
     live streaming: the serial loop publishes straight into the
@@ -485,14 +478,14 @@ def run_serial(scenarios: Sequence[Scenario], *,
         from .prefix import SnapshotCache
 
         cache = SnapshotCache()
-    plans = _plan_campaign(scenarios, prefix_cache, prefix_depth)
+    plans = _plan_campaign(scenarios, prefix_cache)
     results = _run_chunk(scenarios, plans, cache, timeout_s=timeout_s,
                          check_interval=check_interval,
                          cycle_cache=cycle_cache, publisher=publisher,
                          artifacts=artifacts)
     if telemetry is not None:
+        telemetry["prefix_tree"] = _tree_telemetry(plans)
         if cache is not None:
-            telemetry["prefix_tree"] = _tree_telemetry(plans, prefix_depth)
             telemetry["workers"] = {
                 "serial": {"prefix_cache": cache.stats()}}
         _serial_cycle_telemetry(telemetry, cycle_before, cycle_cache)
@@ -524,20 +517,19 @@ def _serial_cycle_telemetry(telemetry: Dict, before: Dict[str, int],
     workers.setdefault("serial", {})["cycle_cache"] = delta
 
 
-def _tree_telemetry(plans, prefix_depth: Optional[int]) -> Dict:
+def _tree_telemetry(plans) -> Dict:
     if plans is None:
-        return {"enabled": False, "depth_limit": prefix_depth}
+        return {"enabled": False}
     groups = {plan.group_key for plan in plans.values()}
     levels = {level for plan in plans.values()
               for level in plan.capture_levels}
     return {
         "enabled": True,
-        "depth_limit": prefix_depth,
         "groups": len(groups),
         "planned_scenarios": sum(
             1 for plan in plans.values() if plan.capture_levels),
         "capture_levels": len(levels),
-        "max_depth_planned": max(
+        "deepest_level": max(
             (level[0] for level in levels), default=0),
     }
 
@@ -613,7 +605,6 @@ def run_pool(scenarios: Sequence[Scenario], *,
              check_interval: int = TIMEOUT_CHECK_INTERVAL,
              prefix_cache: bool = True,
              cycle_cache: bool = False,
-             prefix_depth: Optional[int] = None,
              telemetry: Optional[Dict] = None,
              bus=None,
              artifacts: Optional[ScenarioArtifacts] = None
@@ -627,9 +618,9 @@ def run_pool(scenarios: Sequence[Scenario], *,
     the deterministic report is independent of dispatch: every scenario
     is self-contained, results are re-sorted by scenario id in the
     aggregate, and nothing nondeterministic enters the deterministic
-    record.  With the divergence trie on (*prefix_cache* and
-    ``prefix_depth != 0``) chunks follow the trie's groups; otherwise
-    they follow campaign order.  *chunksize* caps scenarios per chunk.
+    record.  With the prefix cache on, chunks follow the divergence
+    trie's groups; otherwise they follow campaign order.  *chunksize*
+    caps scenarios per chunk.
 
     With the prefix cache on, the parent pre-builds the checkpoint chain
     of every trie group split across several chunks
@@ -650,13 +641,12 @@ def run_pool(scenarios: Sequence[Scenario], *,
                           check_interval=check_interval,
                           prefix_cache=prefix_cache,
                           cycle_cache=cycle_cache,
-                          prefix_depth=prefix_depth,
                           telemetry=telemetry, bus=bus,
                           artifacts=artifacts)
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn")
-    plans = _plan_campaign(scenarios, prefix_cache, prefix_depth)
+    plans = _plan_campaign(scenarios, prefix_cache)
     tasks, split = _dispatch_chunks(scenarios, plans, workers, chunksize)
     cache = _prebuilt_cache(scenarios, plans, split, check_interval) \
         if prefix_cache else None
@@ -683,7 +673,7 @@ def run_pool(scenarios: Sequence[Scenario], *,
                 results[index] = result
             worker_stats[str(sidecar["pid"])] = sidecar
     if telemetry is not None:
-        telemetry["prefix_tree"] = _tree_telemetry(plans, prefix_depth)
+        telemetry["prefix_tree"] = _tree_telemetry(plans)
         telemetry["workers"] = {
             pid: {"prefix_cache": sidecar["prefix_cache"],
                   "cycle_cache": sidecar["cycle_cache"]}
@@ -705,7 +695,6 @@ def run_campaign(scenarios: Sequence[Scenario], *,
                  check_interval: int = TIMEOUT_CHECK_INTERVAL,
                  prefix_cache: bool = True,
                  cycle_cache: bool = False,
-                 prefix_depth: Optional[int] = None,
                  telemetry: Optional[Dict] = None,
                  bus=None,
                  artifacts: Optional[ScenarioArtifacts] = None
@@ -728,12 +717,10 @@ def run_campaign(scenarios: Sequence[Scenario], *,
                           check_interval=check_interval,
                           prefix_cache=prefix_cache,
                           cycle_cache=cycle_cache,
-                          prefix_depth=prefix_depth,
                           telemetry=telemetry, bus=bus,
                           artifacts=artifacts)
     return run_pool(scenarios, workers=workers, chunksize=chunksize,
                     timeout_s=timeout_s, check_interval=check_interval,
                     prefix_cache=prefix_cache,
                     cycle_cache=cycle_cache,
-                    prefix_depth=prefix_depth,
                     telemetry=telemetry, bus=bus, artifacts=artifacts)

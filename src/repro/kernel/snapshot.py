@@ -41,9 +41,8 @@ scheduling (:mod:`repro.campaign.prefix`) possible.
 from __future__ import annotations
 
 import pickle
-import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ..config.schema import SystemConfig
 from ..exceptions import SimulationError
@@ -172,61 +171,18 @@ class SimulatorSnapshot:
         sim.trace.restore(self.trace)
         return sim
 
-    def fork(self, config: SystemConfig, *,
-             cycle_cache: bool = False) -> Simulator:
-        """Alias of :meth:`restore` — every call is an independent fork."""
-        return self.restore(config, cycle_cache=cycle_cache)
-
     # ------------------------------------------------------------ #
     # process-boundary transport
     # ------------------------------------------------------------ #
 
-    def to_bytes(self, *, compress: Optional[int] = None) -> bytes:
-        """Serialize for caching or shipping to a worker process.
-
-        Pickle protocol 5.  With *compress* (a zlib level, 0-9) the
-        payload is deflated; :meth:`from_bytes` transparently accepts
-        either form by sniffing the leading magic byte.
-        """
-        payload = pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-        if compress is not None:
-            return zlib.compress(payload, compress)
-        return payload
-
-    def to_buffers(self) -> Tuple[bytes, List[bytes]]:
-        """Protocol-5 out-of-band form: ``(main stream, buffer list)``.
-
-        Any :class:`pickle.PickleBuffer`-able payloads inside the
-        snapshot state are carried as separate buffers instead of being
-        copied into the pickle stream — the zero-copy transport for
-        same-machine channels (shared memory, pipes with vectored I/O)
-        that can ship the buffers without re-serializing them.  Inverse:
-        :meth:`from_buffers`.
-        """
-        buffers: List[pickle.PickleBuffer] = []
-        main = pickle.dumps(self, protocol=5,
-                            buffer_callback=buffers.append)
-        return main, [buffer.raw().tobytes() for buffer in buffers]
-
-    @classmethod
-    def from_buffers(cls, main: bytes,
-                     buffers: List[bytes]) -> "SimulatorSnapshot":
-        """Inverse of :meth:`to_buffers`."""
-        snapshot = pickle.loads(main, buffers=buffers)
-        if not isinstance(snapshot, cls):
-            raise SimulationError(
-                f"payload does not contain a {cls.__name__}")
-        return snapshot
+    def to_bytes(self) -> bytes:
+        """Serialize for caching or shipping to a worker process (pickle
+        protocol 5)."""
+        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "SimulatorSnapshot":
-        """Inverse of :meth:`to_bytes`, plain or zlib-compressed.
-
-        Sniffed by magic byte: a protocol-2+ pickle stream starts with
-        ``\\x80``; a zlib stream starts with ``\\x78``.
-        """
-        if payload[:1] == b"\x78":
-            payload = zlib.decompress(payload)
+        """Inverse of :meth:`to_bytes`."""
         snapshot = pickle.loads(payload)
         if not isinstance(snapshot, cls):
             raise SimulationError(

@@ -35,7 +35,8 @@ class TestRemovedBackendFlag:
 
 class TestRemovedPoolFlags:
     @pytest.mark.parametrize("flag", [
-        "--shm", "--no-shm", "--locality", "--no-locality"])
+        "--shm", "--no-shm", "--locality", "--no-locality",
+        "--prefix-depth"])
     def test_pool_flag_is_a_usage_error(self, capsys, flag):
         with pytest.raises(SystemExit) as excinfo:
             main(["campaign", "--suite", "fault-matrix", flag])
@@ -111,20 +112,20 @@ class TestCampaignExitCodes:
         assert "6 ok" in out
         assert "verified: pooled (2 workers) == serial" in out
         document = json.loads(report.read_text())
-        assert document["meta"]["prefix_depth"] is None
+        assert "prefix_depth" not in document["meta"]
         execution = document["timing"]["execution"]
         assert execution["prefix_tree"]["enabled"]
         assert execution["prefix_tree"]["planned_scenarios"] == 6
         assert execution["workers"]  # per-worker cache counters present
 
-    def test_prefix_depth_zero_keeps_digests_and_disables_tree(
+    def test_no_prefix_cache_keeps_digests_and_disables_tree(
             self, tmp_path, capsys):
         tree_on = tmp_path / "on.json"
         tree_off = tmp_path / "off.json"
         base = ["campaign", "--suite", "chaos", "--scenarios", "4",
                 "--mtfs", "8", "--shared-seed", "--shared-faults", "2"]
         assert main(base + ["--json", str(tree_on)]) == 0
-        assert main(base + ["--prefix-depth", "0",
+        assert main(base + ["--no-prefix-cache",
                             "--json", str(tree_off)]) == 0
         capsys.readouterr()
         on_doc = json.loads(tree_on.read_text())

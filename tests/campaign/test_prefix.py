@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.prototype import MTF
 from repro.campaign.prefix import (
@@ -10,7 +12,6 @@ from repro.campaign.prefix import (
     PREFIX_QUANTUM,
     SnapshotCache,
     build_divergence_trie,
-    divergence_tick,
     prefix_key,
     prefix_levels,
     run_with_prefix_cache,
@@ -49,57 +50,50 @@ class TestScenarioFingerprint:
             scenario_fingerprint(scenario())
 
 
-class TestDivergenceTick:
-    def test_fault_free_scenario_diverges_at_the_horizon(self):
-        assert divergence_tick(scenario(ticks=5 * MTF)) == 5 * MTF
-
-    def test_earliest_fault_or_command_wins(self):
-        both = scenario(
-            faults=((3 * MTF, MemoryViolationFault("P2")),),
-            commands=((2 * MTF + 7, "chi2"),))
-        assert divergence_tick(both) == 2 * MTF + 7
-
-    def test_clamped_to_the_horizon(self):
-        late = scenario(ticks=MTF,
-                        faults=((9 * MTF, MemoryViolationFault("P2")),))
-        assert divergence_tick(late) == MTF
-
-
 class TestSnapshotCache:
+    @staticmethod
+    def put(cache, fingerprint, tick, payload):
+        """Store *payload* with a stand-in live snapshot and return it, so
+        lookups hand it back without unpickling the payload."""
+        live = object()
+        cache.put(fingerprint, tick, payload, live)
+        return live
+
     def test_get_put_round_trip_and_counters(self):
         cache = SnapshotCache(capacity=4)
-        assert cache.get("fp", 1024) is None
-        cache.put("fp", 1024, b"payload")
-        assert cache.get("fp", 1024) == b"payload"
-        assert cache.get("fp", 2048) is None
+        assert cache.get_snapshot("fp", 1024) is None
+        live = self.put(cache, "fp", 1024, b"payload")
+        assert cache.get_snapshot("fp", 1024) is live
+        assert cache.get_snapshot("fp", 2048) is None
         assert cache.stats() == {"entries": 1, "hits": 1, "misses": 2,
-                                 "stores": 1, "refreshes": 0, "rejects": 0,
+                                 "stores": 1, "refreshes": 0,
                                  "evictions": 0,
                                  "total_bytes": 7, "stored_bytes": 7,
                                  "hit_bytes": 7, "evicted_bytes": 0}
 
     def test_lru_eviction_order(self):
         cache = SnapshotCache(capacity=2)
-        cache.put("a", 0, b"a")
-        cache.put("b", 0, b"b")
-        assert cache.get("a", 0) == b"a"  # refresh a's recency
-        cache.put("c", 0, b"c")           # evicts b, the LRU entry
-        assert cache.get("b", 0) is None
-        assert cache.get("a", 0) == b"a"
-        assert cache.get("c", 0) == b"c"
+        a = self.put(cache, "a", 0, b"a")
+        self.put(cache, "b", 0, b"b")
+        assert cache.get_snapshot("a", 0) is a  # refresh a's recency
+        c = self.put(cache, "c", 0, b"c")       # evicts b, the LRU entry
+        assert cache.get_snapshot("b", 0) is None
+        assert cache.get_snapshot("a", 0) is a
+        assert cache.get_snapshot("c", 0) is c
         assert cache.evictions == 1
+        assert cache.evicted_bytes == 1
 
     def test_duplicate_put_replaces_payload_and_touches_recency(self):
         cache = SnapshotCache(capacity=2)
-        cache.put("a", 0, b"a")
-        cache.put("b", 0, b"b")
-        cache.put("a", 0, b"fresh")
+        self.put(cache, "a", 0, b"a")
+        self.put(cache, "b", 0, b"b")
+        fresh = self.put(cache, "a", 0, b"fresh")
         assert cache.stores == 2        # still two distinct entries...
         assert cache.refreshes == 1     # ...one of them refreshed in place
         assert cache.total_bytes == len(b"fresh") + len(b"b")
-        cache.put("c", 0, b"c")  # b is now the LRU entry
-        assert cache.get("a", 0) == b"fresh"  # not the stale first payload
-        assert cache.get("b", 0) is None
+        self.put(cache, "c", 0, b"c")  # b is now the LRU entry
+        assert cache.get_snapshot("a", 0) is fresh  # not the stale first one
+        assert cache.get_snapshot("b", 0) is None
 
     def test_duplicate_put_resets_the_memoized_snapshot(self):
         """A refreshed entry must not serve the stale live snapshot."""
@@ -122,119 +116,72 @@ class TestSnapshotCache:
         memoized = cache.get_snapshot("fp", 512)
         assert memoized is not late and memoized.tick == late.tick
 
-    def test_oversize_payload_rejected_not_thrashed(self):
-        """An entry bigger than max_bytes must never evict the world.
+    def test_peek_touches_recency_without_counting(self):
+        """A root still seeding chain builds must not be the next
+        eviction, and the builder's lookup is not a scenario fork."""
+        from repro.apps.prototype import build_prototype
+        from repro.kernel.simulator import Simulator
+        from repro.kernel.snapshot import SimulatorSnapshot
 
-        Historically an oversize put evicted every entry *including
-        itself*, so each later lookup missed, rebuilt and re-evicted —
-        permanent thrash.  Now it is rejected outright and counted.
-        """
-        cache = SnapshotCache(capacity=16, max_bytes=8)
-        cache.put("a", 0, b"aaaa")
-        cache.put("b", 0, b"bbbb")
-        assert cache.put("big", 0, b"x" * 9) is False
-        assert cache.rejects == 1
-        assert cache.evictions == 0          # nobody was collateral damage
-        assert cache.get("big", 0) is None
-        assert cache.get("a", 0) == b"aaaa"  # survivors intact
-        assert cache.get("b", 0) == b"bbbb"
-        assert cache.total_bytes == 8
-        # ...and an in-budget put still evicts normally (True = stored).
-        assert cache.put("c", 0, b"cccc") is True
-        assert cache.evictions == 1
-
-    def test_oversize_rejection_meters_the_compressed_size(self):
-        cache = SnapshotCache(max_bytes=64, compress_level=9)
-        # 1 KiB of zeros deflates far below the 64-byte budget.
-        assert cache.put("fp", 0, b"\x00" * 1024) is True
-        assert cache.rejects == 0
-
-    def test_best_prefix_picks_the_longest_at_or_before(self):
-        cache = SnapshotCache()
-        cache.put("fp", 1024, b"short")
-        cache.put("fp", 3072, b"long")
-        cache.put("other", 4096, b"foreign")
-        assert cache.best_prefix("fp", 5000) == (3072, b"long")
-        assert cache.best_prefix("fp", 2000) == (1024, b"short")
-        assert cache.best_prefix("fp", 100) is None
-        assert cache.best_prefix("missing", 5000) is None
-        # advisory: no hit/miss accounting
-        assert cache.hits == 0 and cache.misses == 0
-
-    def test_best_prefix_ignores_recency_when_ranking(self):
-        """The longest prefix wins even if a shorter one is hotter."""
-        cache = SnapshotCache()
-        cache.put("fp", 3072, b"long")
-        cache.put("fp", 1024, b"short")
-        cache.get("fp", 1024)  # make the short prefix most-recent
-        assert cache.best_prefix("fp", 5000) == (3072, b"long")
-
-    def test_best_prefix_touches_the_winners_lru_recency(self):
-        """An entry still seeding builds must not be the next eviction."""
+        sim = Simulator(build_prototype().config)
+        sim.run_fast(512)
+        seed = SimulatorSnapshot.capture(sim)
         cache = SnapshotCache(capacity=2)
-        cache.put("fp", 1024, b"seed")
+        cache.put("fp", 512, seed.to_bytes())
         cache.put("other", 0, b"noise")
-        assert cache.best_prefix("fp", 5000) == (1024, b"seed")
+        peeked = cache.peek("fp", 512)
+        assert peeked is not None and peeked.tick == 512
+        assert cache.peek("fp", 1024) is None  # exact tick only
+        assert cache.peek("fp", 512) is peeked  # unpickled once
+        assert cache.hits == 0 and cache.misses == 0
         cache.put("third", 0, b"third")  # evicts "other", not the seed
-        assert cache.get("fp", 1024) == b"seed"
-        assert cache.get("other", 0) is None
+        assert cache.get_snapshot("other", 0) is None
+        assert cache.get_snapshot("fp", 512) is peeked
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError, match="capacity"):
             SnapshotCache(capacity=0)
 
-    def test_byte_bound_evicts_in_lru_order(self):
-        cache = SnapshotCache(capacity=16, max_bytes=8)
-        cache.put("a", 0, b"aaaa")
-        cache.put("b", 0, b"bbbb")
-        assert cache.total_bytes == 8
-        assert cache.get("a", 0) == b"aaaa"  # refresh a's recency
-        cache.put("c", 0, b"cc")             # over budget: evicts b, not a
-        assert cache.get("b", 0) is None
-        assert cache.get("a", 0) == b"aaaa"
-        assert cache.get("c", 0) == b"cc"
-        assert cache.evictions == 1
-        assert cache.evicted_bytes == 4
-        assert cache.total_bytes == 6
-
-    def test_byte_bound_evicts_until_within_budget(self):
-        cache = SnapshotCache(capacity=16, max_bytes=10)
-        cache.put("a", 0, b"aaaa")
-        cache.put("b", 0, b"bbbb")
-        cache.put("c", 0, b"cccccccc")  # 8 bytes: both older entries go
-        assert cache.evictions == 2
-        assert cache.total_bytes == 8
-        assert cache.get("c", 0) == b"cccccccc"
+    def test_invalid_bounds_rejected(self):
+        # Entry count is the only bound: the byte budget and the
+        # compression tier are gone, not silently ignored.
+        with pytest.raises(ValueError, match="capacity"):
+            SnapshotCache(capacity=-1)
+        with pytest.raises(TypeError):
+            SnapshotCache(max_bytes=8)
+        with pytest.raises(TypeError):
+            SnapshotCache(compress_level=6)
 
     def test_byte_counters_in_stats_sidecar(self):
-        cache = SnapshotCache(capacity=2, max_bytes=None)
-        cache.put("a", 0, b"12345")
-        cache.get("a", 0)
-        cache.get("a", 0)
+        cache = SnapshotCache(capacity=2)
+        self.put(cache, "a", 0, b"12345")
+        cache.get_snapshot("a", 0)
+        cache.get_snapshot("a", 0)
         stats = cache.stats()
         assert stats["stored_bytes"] == 5
         assert stats["hit_bytes"] == 10
         assert stats["total_bytes"] == 5
 
-    def test_invalid_bounds_rejected(self):
-        with pytest.raises(ValueError, match="max_bytes"):
-            SnapshotCache(max_bytes=0)
-        with pytest.raises(ValueError, match="compress_level"):
-            SnapshotCache(compress_level=11)
-
 
 class TestRunWithPrefixCache:
-    def make(self, scenario_id, fault_tick, *, ticks=6 * MTF):
+    def make(self, scenario_id, fault_tick, *, ticks=6 * MTF, fault=None):
         return scenario(scenario_id, ticks=ticks,
-                        faults=((fault_tick, MemoryViolationFault("P2")),))
+                        faults=((fault_tick,
+                                 fault or MemoryViolationFault("P2")),))
+
+    def root_sharing_pair(self, fault_tick):
+        """Two scenarios sharing only their fault-free root."""
+        spec = self.make("warm", fault_tick)
+        twin = self.make("twin", fault_tick,
+                         fault=PartitionCrashFault("P2"))
+        return spec, build_divergence_trie([spec, twin])["warm"]
 
     def test_result_matches_cold_run_and_reports_the_fork(self):
-        from repro.campaign.runner import run_scenario
-
-        spec = self.make("warm", 4 * MTF + 50)
+        spec, plan = self.root_sharing_pair(4 * MTF + 50)
+        assert [depth for depth, _, _ in plan.capture_levels] == [0]
         cache = SnapshotCache()
-        seeded = run_with_prefix_cache(spec, cache)   # seeds the cache
-        warm = run_with_prefix_cache(spec, cache)     # forks from it
+        seeded = run_with_prefix_cache(spec, cache, plan=plan)  # seeds it
+        warm = run_with_prefix_cache(spec, cache, plan=plan)    # forks
         cold = run_scenario(spec)
         assert cold.forked_at_tick == -1
         assert warm.forked_at_tick == \
@@ -246,19 +193,22 @@ class TestRunWithPrefixCache:
         assert cache.stats()["stores"] == 1
 
     def test_quantum_sharing_one_entry_many_forks(self):
-        cache = SnapshotCache()
         specs = [self.make(f"q{i}", 4 * MTF + i * 7) for i in range(4)]
+        plans = build_divergence_trie(specs)
+        cache = SnapshotCache()
         for spec in specs:
-            run_with_prefix_cache(spec, cache)
-        # All four divergence ticks quantize into the same snapshot tick:
-        # one store, three hits.
+            run_with_prefix_cache(spec, cache,
+                                  plan=plans[spec.scenario_id])
+        # All four boundaries quantize into the same capture tick: one
+        # store, three hits.
         assert cache.stats()["stores"] == 1
         assert cache.stats()["hits"] == 3
 
     def test_short_prefix_degrades_to_a_cold_run(self):
-        spec = self.make("early", MIN_PREFIX_TICKS // 2)
+        spec, plan = self.root_sharing_pair(MIN_PREFIX_TICKS // 2)
+        assert plan.capture_levels == ()  # the root is too short to share
         cache = SnapshotCache()
-        result = run_with_prefix_cache(spec, cache)
+        result = run_with_prefix_cache(spec, cache, plan=plan)
         assert result.ok
         assert result.forked_at_tick == -1
         assert len(cache) == 0
@@ -266,47 +216,57 @@ class TestRunWithPrefixCache:
     def test_prefix_failure_degrades_to_a_cold_run(self, monkeypatch):
         from repro.kernel.snapshot import SimulatorSnapshot
 
-        def broken_capture(cls, sim):
+        def broken_capture(cls, sim, extras=None):
             raise RuntimeError("capture exploded")
 
         monkeypatch.setattr(SimulatorSnapshot, "capture",
                             classmethod(broken_capture))
-        spec = self.make("degraded", 4 * MTF)
-        result = run_with_prefix_cache(spec, SnapshotCache())
+        spec, plan = self.root_sharing_pair(4 * MTF)
+        result = run_with_prefix_cache(spec, SnapshotCache(), plan=plan)
         assert result.ok
         assert result.forked_at_tick == -1
 
     def test_rejects_nonpositive_quantum(self):
+        # Quantization lives in the plan the executor requires.
         with pytest.raises(ValueError, match="quantum"):
-            run_with_prefix_cache(self.make("s", 4 * MTF),
-                                  SnapshotCache(), quantum=0)
+            build_divergence_trie([self.make("s", 4 * MTF)], quantum=0)
 
     def test_extending_a_shorter_prefix_matches_a_cold_build(self):
-        """best_prefix extension: digests identical to building from cold.
+        """A chain build extends a cached root instead of rebuilding it.
 
-        Seed the cache with a short prefix (early divergence), then run a
-        scenario whose divergence is later: its prefix is built by
-        extending the short entry, and both the extended run and a
-        subsequent fork of the new entry must match the cold run
-        byte-for-byte.
+        When a sibling group already stored the shared fault-free root,
+        a deeper chain starts from that exact entry (the trie pins every
+        key to one tick) without counting a hit or miss, and the
+        extended run matches the cold run byte-for-byte.
         """
+        from repro.campaign.prefix import _build_plan_levels
+
+        lead = (2 * MTF, MemoryViolationFault("P2"))
+        a = scenario("a", ticks=6 * MTF, faults=(
+            lead, (4 * MTF, MemoryViolationFault("P4"))))
+        b = scenario("b", ticks=6 * MTF, faults=(
+            lead, (5 * MTF, PartitionCrashFault("P4"))))
+        c = scenario("c", ticks=6 * MTF,
+                     faults=((3 * MTF, PartitionCrashFault("P2")),))
+        plans = build_divergence_trie([a, b, c])
+        root = plans["c"].capture_levels
+        assert [depth for depth, _, _ in root] == [0]
+        assert [depth for depth, _, _ in plans["a"].capture_levels] == [0, 1]
+        assert plans["a"].capture_levels[0] == root[0]
         cache = SnapshotCache()
-        early = self.make("early", 2 * MTF + 10)
-        run_with_prefix_cache(early, cache)
-        short_tick = (2 * MTF + 10) // PREFIX_QUANTUM * PREFIX_QUANTUM
+        _build_plan_levels(c, cache, plans["c"], None, -1,
+                           check_interval=20_000)
         assert cache.stats()["stores"] == 1
-        late = self.make("late", 5 * MTF + 10)
-        extended = run_with_prefix_cache(late, cache)
-        long_tick = (5 * MTF + 10) // PREFIX_QUANTUM * PREFIX_QUANTUM
-        assert cache.stats()["stores"] == 2  # the extension was cached...
-        forked = run_with_prefix_cache(late, cache)  # ...and is forkable
-        cold = run_scenario(late)
-        assert extended.to_dict() == cold.to_dict()
-        assert forked.to_dict() == cold.to_dict()
-        assert forked.forked_at_tick == long_tick
-        # both prefixes remain individually addressable
-        assert cache.best_prefix(scenario_fingerprint(late),
-                                 short_tick)[0] == short_tick
+        deepest = _build_plan_levels(a, cache, plans["a"], None, -1,
+                                     check_interval=20_000)
+        stats = cache.stats()
+        assert stats["stores"] == 2           # only the deeper level...
+        assert stats["refreshes"] == 0        # ...the root was not rebuilt
+        assert stats["hits"] == stats["misses"] == 0
+        assert deepest.tick == plans["a"].capture_levels[-1][2]
+        forked = run_with_prefix_cache(a, cache, plan=plans["a"])
+        assert forked.forked_at_tick == deepest.tick
+        assert forked.to_dict() == run_scenario(a).to_dict()
 
 
 class TestPrefixKey:
@@ -383,10 +343,6 @@ class TestPrefixLevels:
         assert 1 not in depths
         assert 0 in depths and 2 in depths
 
-    def test_max_depth_truncates(self):
-        spec = scenario("s", ticks=8 * MTF,
-                        faults=((3 * MTF, MemoryViolationFault("P2")),))
-        assert [d for d, _, _ in prefix_levels(spec, max_depth=0)] == [0]
 
 
 class TestDivergenceTrie:
@@ -443,12 +399,34 @@ class TestDivergenceTrie:
         assert plans["y"].capture_levels == plans["x"].capture_levels
         assert plans["x"].group_key == scenario_fingerprint(x)
 
-    def test_max_depth_zero_is_root_only(self):
-        a, b = self.pair()
-        plans = build_divergence_trie([a, b], max_depth=0)
-        assert all(
-            [d for d, _, _ in plan.capture_levels] == [0]
-            for plan in plans.values())
+
+class TestTrieInvariants:
+    """What the chain builder's exact root lookup relies on, over random
+    chaos campaigns: every prefix key is pinned to one capture tick
+    campaign-wide, and a scenario's capture ticks never decrease with
+    depth."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(count=st.integers(2, 12), shared_faults=st.integers(0, 3),
+           prefix_mtfs=st.integers(0, 6), extra_mtfs=st.integers(4, 12),
+           seed=st.integers(0, 2 ** 16), shared_seed=st.booleans())
+    def test_one_tick_per_key_and_ticks_nondecreasing_with_depth(
+            self, count, shared_faults, prefix_mtfs, extra_mtfs, seed,
+            shared_seed):
+        campaign = chaos_campaign(
+            count=count, mtfs=prefix_mtfs + extra_mtfs, base_seed=seed,
+            shared_seed=shared_seed, prefix_mtfs=prefix_mtfs,
+            shared_faults=shared_faults)
+        plans = build_divergence_trie(campaign)
+        ticks_by_key = {}
+        for plan in plans.values():
+            depths = [depth for depth, _, _ in plan.capture_levels]
+            ticks = [tick for _, _, tick in plan.capture_levels]
+            assert depths == sorted(set(depths))
+            assert ticks == sorted(ticks)
+            for _, key, tick in plan.capture_levels:
+                ticks_by_key.setdefault(key, set()).add(tick)
+        assert all(len(ticks) == 1 for ticks in ticks_by_key.values())
 
 
 class TestPlanExecution:
@@ -489,7 +467,8 @@ class TestPlanExecution:
         a, b = self.pair()
         plans = build_divergence_trie([a, b])
         cache = SnapshotCache()
-        # Seed only the root level, as a root-only planner would have.
+        # Seed only the root level, as a sibling group sharing nothing
+        # deeper would have.
         root = plans["a"].capture_levels[0]
         run_with_prefix_cache(
             a, cache,

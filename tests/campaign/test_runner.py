@@ -225,7 +225,7 @@ def deterministic(results):
 class TestPrefixTreeDigestEquality:
     """The divergence-trie acceptance gate: over a deep shared-fault
     chaos campaign, the deterministic report is byte-identical across
-    {tree on, tree off} x {serial, pooled at 1/2/4 workers} x chunk
+    {tree on, tree off (cold)} x {serial, pooled at 1/2/4 workers} x chunk
     sizes — the trie, its dispatch grouping and the parent's pre-built
     chains are pure optimizations."""
 
@@ -239,8 +239,8 @@ class TestPrefixTreeDigestEquality:
 
     @pytest.fixture(scope="class")
     def tree_off_report(self, shared_chaos):
-        # prefix_depth=0 is the exact PR 5 root-only path.
-        return deterministic(run_serial(shared_chaos, prefix_depth=0))
+        # The cold run: every scenario simulated from tick 0.
+        return deterministic(run_serial(shared_chaos, prefix_cache=False))
 
     def test_serial_tree_on_matches_tree_off(self, shared_chaos,
                                              tree_off_report):
@@ -254,11 +254,11 @@ class TestPrefixTreeDigestEquality:
         assert max(r.forked_at_tick for r in results) > 2 * MTF
 
     @pytest.mark.parametrize("workers", [2, 4])
-    @pytest.mark.parametrize("prefix_depth", [None, 0])
+    @pytest.mark.parametrize("prefix_cache", [True, False])
     def test_pooled_digests_match_at_any_worker_count(
-            self, shared_chaos, tree_off_report, workers, prefix_depth):
+            self, shared_chaos, tree_off_report, workers, prefix_cache):
         pooled = run_campaign(shared_chaos, workers=workers,
-                              prefix_depth=prefix_depth)
+                              prefix_cache=prefix_cache)
         assert deterministic(pooled) == tree_off_report
 
     def test_chunksize_never_changes_the_report(self, shared_chaos,
