@@ -9,7 +9,10 @@ provenance envelope:
   dashboard reading old artifacts can tell them apart;
 * ``benchmark`` — artifact name (``BENCH_<benchmark>.json``);
 * ``git_rev`` — the commit the numbers were measured at;
-* ``host`` — python version and platform (ticks/sec are host-relative);
+* ``host`` — python version, platform, CPU count (``nproc``), the CPUs
+  the process may run on (``affinity``) and the load average when the
+  artifact was written (``loadavg_end``) — ticks/sec are host-relative,
+  and the field names match campaignbench's run record;
 * ``workloads`` — a list of :func:`workload_record` entries, each naming
   its workload id, mode, throughput, speedup vs its stated reference,
   and whether the deterministic digests were asserted equal before timing.
@@ -21,6 +24,7 @@ the digest flags are the part that is host-independent and load-proof.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import subprocess
 from pathlib import Path
@@ -80,6 +84,21 @@ def bench_json_path(benchmark: str) -> Path:
     return REPO_ROOT / f"BENCH_{benchmark}.json"
 
 
+def _host_record() -> Dict[str, object]:
+    """The artifact's ``host`` block (see the module docstring)."""
+    affinity = (sorted(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else None)
+    try:
+        load = list(os.getloadavg())
+    except OSError:
+        load = None
+    return {"python": platform.python_version(),
+            "platform": platform.platform(),
+            "nproc": os.cpu_count(),
+            "affinity": affinity,
+            "loadavg_end": load}
+
+
 def emit_bench_json(benchmark: str, workloads: List[Dict[str, object]], *,
                     path: Optional[str] = None,
                     meta: Optional[Dict[str, object]] = None) -> Path:
@@ -88,10 +107,7 @@ def emit_bench_json(benchmark: str, workloads: List[Dict[str, object]], *,
         "schema_version": BENCH_SCHEMA_VERSION,
         "benchmark": benchmark,
         "git_rev": git_rev(),
-        "host": {
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
+        "host": _host_record(),
         "workloads": workloads,
     }
     if meta:

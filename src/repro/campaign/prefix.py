@@ -153,20 +153,18 @@ class PrefixPlan:
         return tuple(reversed(self.capture_levels))
 
 
-def prefix_levels(scenario: Scenario, *, quantum: Ticks = PREFIX_QUANTUM
-                  ) -> List[Tuple[int, str, Ticks]]:
+def prefix_levels(scenario: Scenario) -> List[Tuple[int, str, Ticks]]:
     """Enumerate the scenario's usable fork levels.
 
     Level *d* means "the first *d* timeline events applied"; its boundary
     is the ``d``-th event's tick (the horizon past the last event) and its
-    candidate capture tick is that boundary quantized down to *quantum*.
+    candidate capture tick is that boundary quantized down to
+    :data:`PREFIX_QUANTUM`.
     A level is usable when the capture tick clears
     :data:`MIN_PREFIX_TICKS` and does not quantize below the last applied
     event (the checkpoint must sit *after* everything it claims to have
     applied).
     """
-    if quantum < 1:
-        raise ValueError(f"quantum must be >= 1, got {quantum}")
     if getattr(scenario, "is_constellation", False):
         # A constellation has no single-simulator prefix to checkpoint:
         # N snapshots plus fabric/protocol state is not a
@@ -179,7 +177,7 @@ def prefix_levels(scenario: Scenario, *, quantum: Ticks = PREFIX_QUANTUM
     for depth in range(len(events) + 1):
         boundary = events[depth][0] if depth < len(events) else horizon
         boundary = min(boundary, horizon)
-        snap = (boundary // quantum) * quantum
+        snap = (boundary // PREFIX_QUANTUM) * PREFIX_QUANTUM
         if snap < MIN_PREFIX_TICKS:
             continue
         if depth and snap < events[depth - 1][0]:
@@ -188,8 +186,7 @@ def prefix_levels(scenario: Scenario, *, quantum: Ticks = PREFIX_QUANTUM
     return levels
 
 
-def build_divergence_trie(scenarios: Sequence[Scenario], *,
-                          quantum: Ticks = PREFIX_QUANTUM
+def build_divergence_trie(scenarios: Sequence[Scenario]
                           ) -> Dict[str, PrefixPlan]:
     """Plan the campaign's shared checkpoints: scenario id -> PrefixPlan.
 
@@ -206,7 +203,7 @@ def build_divergence_trie(scenarios: Sequence[Scenario], *,
     per_scenario: Dict[str, List[Tuple[int, str, Ticks]]] = {}
     boundaries: Dict[str, List[Ticks]] = {}
     for scenario in scenarios:
-        levels = prefix_levels(scenario, quantum=quantum)
+        levels = prefix_levels(scenario)
         per_scenario[scenario.scenario_id] = levels
         for _, key, snap in levels:
             boundaries.setdefault(key, []).append(snap)

@@ -35,19 +35,36 @@ verdict equal those of an uninterrupted run from tick 0.
 
 One snapshot can be restored any number of times — each call builds an
 independent continuation, which is what makes prefix-sharing campaign
-scheduling (:mod:`repro.campaign.prefix`) possible.
+scheduling (:mod:`repro.campaign.prefix`) possible.  Restores share what
+the checkpoint or the configuration has already fixed instead of
+rebuilding it per continuation:
+
+* **the trace prefix** — the first restore decodes the captured event
+  tuples into live events once and memoizes them on the snapshot; every
+  restore seeds its own deque from that one tuple.  Events are immutable
+  (nothing assigns to an event after construction; new events are
+  appended, never edited in place), so continuations can hold the same
+  objects.  The memo is host-side: it is not pickled, so
+  :meth:`SimulatorSnapshot.to_bytes` is the same bytes before and after
+  any restore;
+* **the compiled page tables** — the fresh ``Simulator`` each restore
+  builds looks its MMU page tables up by memory map
+  (:mod:`repro.spatial.mmu`), so restores of one configuration reuse one
+  compiled table per partition.  Tables are read-only once compiled and
+  their entries frozen.
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from ..config.schema import SystemConfig
 from ..exceptions import SimulationError
 from ..types import Ticks
 from .simulator import Simulator
+from .trace import Trace, TraceEvent
 
 __all__ = ["SNAPSHOT_VERSION", "SimulatorSnapshot", "config_identity"]
 
@@ -56,6 +73,9 @@ __all__ = ["SNAPSHOT_VERSION", "SimulatorSnapshot", "config_identity"]
 #: v3: optional ``extras`` side-channel (e.g. the fault injector's
 #: applied log for snapshot-after-applied-faults prefix sharing).
 SNAPSHOT_VERSION = 3
+
+#: Instance attribute memoizing :meth:`SimulatorSnapshot._trace_events`.
+_TRACE_EVENTS_MEMO = "_trace_events_memo"
 
 
 def config_identity(config: SystemConfig) -> Dict[str, Any]:
@@ -168,8 +188,23 @@ class SimulatorSnapshot:
         sim = Simulator(config, cycle_cache=cycle_cache)
         sim.time.restore(self.time)
         sim.pmk.restore(self.pmk)
-        sim.trace.restore(self.trace)
+        sim.trace.restore_events(self._trace_events(), self.trace)
         return sim
+
+    def _trace_events(self) -> Tuple[TraceEvent, ...]:
+        """The captured trace's live events, decoded on first restore and
+        shared by every later one (see the module docstring)."""
+        events = self.__dict__.get(_TRACE_EVENTS_MEMO)
+        if events is None:
+            events = Trace.decode_events(self.trace)
+            object.__setattr__(self, _TRACE_EVENTS_MEMO, events)
+        return events
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """Pickle the fields only: the decoded-events memo stays host-side."""
+        state = dict(self.__dict__)
+        state.pop(_TRACE_EVENTS_MEMO, None)
+        return state
 
     # ------------------------------------------------------------ #
     # process-boundary transport

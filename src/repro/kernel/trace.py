@@ -21,9 +21,10 @@ import dataclasses
 import hashlib
 import json
 import sys
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import attrgetter
 from typing import (
     Callable,
     Deque,
@@ -354,6 +355,7 @@ class Trace:
         self._memo_json: Optional[str] = None
         self._memo_digest: Optional[str] = None
         self._memo_summary: Optional[Dict[str, object]] = None
+        self._memo_tally: Optional[Dict[Type[TraceEvent], int]] = None
         # Canonical JSON of already-encoded events, kept as joined chunks
         # (each chunk covers a contiguous batch, entries comma-separated)
         # with a watermark of how many events they cover.  Built lazily
@@ -368,6 +370,16 @@ class Trace:
         events = self._events
         return (self._memo_generation, len(events), self._dropped,
                 events[-1].tick if events else None)
+
+    def _sync_memo(self) -> None:
+        """Drop every memoized view if the log changed since it was built."""
+        key = self._current_memo_key()
+        if self._memo_key != key:
+            self._memo_key = key
+            self._memo_json = None
+            self._memo_digest = None
+            self._memo_summary = None
+            self._memo_tally = None
 
     def record(self, event: TraceEvent) -> None:
         """Append *event*; evict the oldest if capacity is bounded."""
@@ -418,9 +430,24 @@ class Trace:
                 return event
         return None
 
+    def tally(self) -> Dict[Type[TraceEvent], int]:
+        """Number of retained events per exact event class.
+
+        One pass over the log, memoized until the log changes: a campaign
+        reads several counters and the summary off one finished trace, and
+        each would otherwise rescan it.  The returned dict is shared —
+        callers must not mutate it.
+        """
+        self._sync_memo()
+        if self._memo_tally is None:
+            self._memo_tally = dict(Counter(map(type, self._events)))
+        return self._memo_tally
+
     def count(self, event_type: Type[E]) -> int:
-        """Number of events of *event_type*."""
-        return sum(1 for e in self._events if isinstance(e, event_type))
+        """Number of events of *event_type* (or a subclass), read off
+        :meth:`tally`."""
+        return sum(count for kind, count in self.tally().items()
+                   if issubclass(kind, event_type))
 
     def _lower_bound(self, tick: Ticks) -> int:
         """First index whose event has ``tick >= tick`` (binary search).
@@ -482,16 +509,33 @@ class Trace:
             state["encoded"] = ",".join(self._encode_pending())
         return state
 
+    @staticmethod
+    def decode_events(state: Dict[str, object]) -> Tuple[TraceEvent, ...]:
+        """The live events of a :meth:`snapshot` capture, oldest first.
+
+        Events are immutable, so one decoded tuple may seed any number of
+        restored traces (:meth:`restore_events`).
+        """
+        types = _EVENT_TYPES
+        return tuple(types[encoded[0]](*encoded[1:])
+                     for encoded in state["events"])
+
     def restore(self, state: Dict[str, object]) -> None:
         """Replace the log wholesale with a :meth:`snapshot` capture.
 
         Observers are untouched (they are structural wiring, not state);
         the capacity bound stays whatever this trace was built with.
         """
-        self._events = deque(
-            (_EVENT_TYPES[encoded[0]](*encoded[1:])
-             for encoded in state["events"]),
-            maxlen=self._capacity)
+        self.restore_events(self.decode_events(state), state)
+
+    def restore_events(self, events: Tuple[TraceEvent, ...],
+                       state: Dict[str, object]) -> None:
+        """:meth:`restore` from *state* with its events already decoded.
+
+        *events* must be :meth:`decode_events` of *state*; the new log
+        holds the same event objects, never a copy, in a deque of its own.
+        """
+        self._events = deque(events, maxlen=self._capacity)
         self._dropped = state["dropped"]
         prior = state.get("encoded")
         if (self._capacity is None and not self._dropped
@@ -547,29 +591,27 @@ class Trace:
         """Canonical JSON chunks covering every retained event.
 
         Only the events beyond the already-encoded watermark are encoded
-        (one batched ``json.dumps`` over the whole tail — the C encoder
-        in a single call, not one dispatch per event); earlier chunks
+        (one batched encode over the whole tail — the C encoder in a
+        single call, not one dispatch per event); earlier chunks
         (including a prefix adopted from :meth:`restore`) are reused
-        verbatim.  Joining the chunks with ``","`` is byte-identical to
-        the events array of the one-shot :meth:`to_json` document.
-        Callers must hold the unbounded-trace invariant (``capacity is
-        None``) — eviction would silently desynchronize the watermark.
+        verbatim.  Each record is built with its keys already in sorted
+        order (:func:`_encode_plan`), so the encoder skips the per-dict
+        sort and the bytes equal ``json.dumps(..., sort_keys=True)``.
+        Joining the chunks with ``","`` is byte-identical to the events
+        array of the one-shot :meth:`to_json` document.  Callers must
+        hold the unbounded-trace invariant (``capacity is None``) —
+        eviction would silently desynchronize the watermark.
         """
         events = self._events
         count = self._encoded_count
         if count < len(events):
-            names_by_type = _FIELD_NAMES
+            plans = _ENCODE_PLANS
             records = []
             for event in islice(events, count, None):
-                event_type = type(event)
-                names = names_by_type.get(event_type)
-                if names is None:
-                    names = _field_names(event_type)
-                record = {name: getattr(event, name) for name in names}
-                record["kind"] = event_type.__name__
-                records.append(record)
-            chunk = json.dumps(records, sort_keys=True,
-                               separators=(",", ":"))[1:-1]
+                keys, values = (plans.get(type(event))
+                                or _encode_plan(type(event)))
+                records.append(dict(zip(keys, values(event))))
+            chunk = _CANONICAL_ENCODER.encode(records)[1:-1]
             if chunk:
                 self._encoded.append(chunk)
             self._encoded_count = len(events)
@@ -585,22 +627,16 @@ class Trace:
         to the one-shot ``json.dumps`` but incremental, so a trace restored
         from a checkpoint only pays for the events recorded after the fork.
         """
-        key = self._current_memo_key()
-        if self._memo_json is not None and self._memo_key == key:
-            return self._memo_json
-        if self._capacity is None and not self._dropped:
-            text = '{"dropped":%d,"events":[%s]}' % (
-                self._dropped, ",".join(self._encode_pending()))
-        else:
-            text = json.dumps({"dropped": self._dropped,
-                               "events": self.to_dicts()},
-                              sort_keys=True, separators=(",", ":"))
-        if self._memo_key != key:
-            self._memo_key = key
-            self._memo_digest = None
-            self._memo_summary = None
-        self._memo_json = text
-        return text
+        self._sync_memo()
+        if self._memo_json is None:
+            if self._capacity is None and not self._dropped:
+                self._memo_json = '{"dropped":%d,"events":[%s]}' % (
+                    self._dropped, ",".join(self._encode_pending()))
+            else:
+                self._memo_json = json.dumps(
+                    {"dropped": self._dropped, "events": self.to_dicts()},
+                    sort_keys=True, separators=(",", ":"))
+        return self._memo_json
 
     @classmethod
     def from_json(cls, text: str,
@@ -641,14 +677,11 @@ class Trace:
         value without rescanning the event log (campaigns digest the same
         finished trace from several reporting paths).
         """
-        key = self._current_memo_key()
-        if self._memo_digest is not None and self._memo_key == key:
-            return self._memo_digest
-        digest = hashlib.sha256(
-            self.to_json().encode("utf-8")).hexdigest()[:16]
-        # to_json() has synchronized _memo_key to `key`.
-        self._memo_digest = digest
-        return digest
+        self._sync_memo()
+        if self._memo_digest is None:
+            self._memo_digest = hashlib.sha256(
+                self.to_json().encode("utf-8")).hexdigest()[:16]
+        return self._memo_digest
 
     def summary(self) -> Dict[str, object]:
         """Compact, JSON-compatible description of the trace.
@@ -657,24 +690,20 @@ class Trace:
         the content :meth:`digest` — everything a campaign aggregate needs,
         at a fixed size regardless of trace length.
         """
-        key = self._current_memo_key()
-        if self._memo_summary is not None and self._memo_key == key:
-            return dict(self._memo_summary)
-        counts: Dict[str, int] = {}
-        for event in self._events:
-            kind = event.kind
-            counts[kind] = counts.get(kind, 0) + 1
-        summary = {
-            "events": len(self._events),
-            "dropped": self._dropped,
-            "counts": dict(sorted(counts.items())),
-            "first_tick": self._events[0].tick if self._events else None,
-            "last_tick": self._events[-1].tick if self._events else None,
-            "digest": self.digest(),
-        }
-        if self._memo_key == self._current_memo_key():
-            self._memo_summary = dict(summary)
-        return summary
+        self._sync_memo()
+        if self._memo_summary is None:
+            counts: Dict[str, int] = {}
+            for kind, count in self.tally().items():
+                counts[kind.__name__] = counts.get(kind.__name__, 0) + count
+            self._memo_summary = {
+                "events": len(self._events),
+                "dropped": self._dropped,
+                "counts": dict(sorted(counts.items())),
+                "first_tick": self._events[0].tick if self._events else None,
+                "last_tick": self._events[-1].tick if self._events else None,
+                "digest": self.digest(),
+            }
+        return dict(self._memo_summary)
 
     def __len__(self) -> int:
         return len(self._events)
@@ -726,6 +755,33 @@ def _field_names(event_type: Type[TraceEvent]) -> Tuple[str, ...]:
         names = tuple(f.name for f in dataclasses.fields(event_type))
         _FIELD_NAMES[event_type] = names
     return names
+
+
+#: event class -> (record keys in sorted order, ``kind`` included; getter
+#: returning the event's values for those keys in the same order).
+_ENCODE_PLANS: Dict[Type[TraceEvent],
+                    Tuple[Tuple[str, ...], Callable[[TraceEvent], tuple]]] = {}
+
+#: The canonical JSON encoder for records whose keys are already sorted:
+#: compact separators, and no cycle check (records are flat scalars).
+_CANONICAL_ENCODER = json.JSONEncoder(separators=(",", ":"),
+                                      check_circular=False)
+
+
+def _encode_plan(event_type: Type[TraceEvent]
+                 ) -> Tuple[Tuple[str, ...], Callable[[TraceEvent], tuple]]:
+    """The cached :data:`_ENCODE_PLANS` entry of *event_type*.
+
+    ``kind`` is read through the :attr:`TraceEvent.kind` property, so one
+    getter yields every value; every plan has at least ``kind`` and
+    ``tick``, so the getter always returns a tuple.
+    """
+    plan = _ENCODE_PLANS.get(event_type)
+    if plan is None:
+        keys = tuple(sorted(_field_names(event_type) + ("kind",)))
+        plan = (keys, attrgetter(*keys))
+        _ENCODE_PLANS[event_type] = plan
+    return plan
 
 
 #: Absolute-tick fields carried by event classes *beyond* the universal

@@ -26,11 +26,6 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # numpy-gated vectorization; every consumer has a pure-Python path
-    import numpy as _np
-except ImportError:  # pragma: no cover — the toolchain ships numpy
-    _np = None
-
 from ..kernel.trace import (
     DeadlineMissed,
     EscalationStepped,
@@ -48,6 +43,25 @@ from ..kernel.trace import (
 
 __all__ = ["COMPACT_METRIC_NAMES", "derived_metrics", "derived_to_json",
            "compact_metrics", "percentile", "distribution"]
+
+#: numpy once :func:`_numpy` first ran, None when it is not installed.
+#: Vectorization is gated on it and every consumer has a pure-Python path;
+#: the import waits for the first consumer, so importing the campaign
+#: layer (which reaches this module) does not pay for numpy.
+_NOT_IMPORTED = object()
+_np = _NOT_IMPORTED
+
+
+def _numpy():
+    """numpy, imported on first use; None when it is not installed."""
+    global _np
+    if _np is _NOT_IMPORTED:
+        try:
+            import numpy
+        except ImportError:  # pragma: no cover — the toolchain ships numpy
+            numpy = None
+        _np = numpy
+    return _np
 
 #: The fixed key set :func:`compact_metrics` emits, in emission order.
 #: The governed telemetry namespace constrains the
@@ -88,8 +102,9 @@ def distribution(values: Sequence[int]) -> Dict[str, int]:
     if not values:
         return {"count": 0, "sum": 0, "min": None, "max": None,
                 "p50": None, "p90": None, "p99": None}
-    if _np is not None:
-        ordered = _np.sort(_np.asarray(values, dtype=_np.int64))
+    np = _numpy()
+    if np is not None:
+        ordered = np.sort(np.asarray(values, dtype=np.int64))
         count = len(ordered)
 
         def rank(fraction: float) -> int:
@@ -98,7 +113,7 @@ def distribution(values: Sequence[int]) -> Dict[str, int]:
 
         return {
             "count": count,
-            "sum": int(ordered.sum(dtype=_np.int64)),
+            "sum": int(ordered.sum(dtype=np.int64)),
             "min": int(ordered[0]),
             "max": int(ordered[-1]),
             "p50": rank(0.50),
@@ -166,22 +181,23 @@ def _make_frame_occupancy(spans, partitions):
     the reference semantics, byte-identical by the vectorization
     equality test.
     """
-    if _np is not None and spans:
+    np = _numpy()
+    if np is not None and spans:
         owner_index = {partition: i for i, partition in
                        enumerate(partitions)}
         owned = [(start, end, owner_index[owner])
                  for start, end, owner in spans if owner in owner_index]
         if owned:
-            starts = _np.array([s for s, _, _ in owned], dtype=_np.int64)
-            ends = _np.array([e for _, e, _ in owned], dtype=_np.int64)
-            owners = _np.array([o for _, _, o in owned], dtype=_np.intp)
+            starts = np.array([s for s, _, _ in owned], dtype=np.int64)
+            ends = np.array([e for _, e, _ in owned], dtype=np.int64)
+            owners = np.array([o for _, _, o in owned], dtype=np.intp)
 
             def vectorized(frame_start: int, frame_end: int):
-                overlap = (_np.minimum(ends, frame_end)
-                           - _np.maximum(starts, frame_start))
-                _np.clip(overlap, 0, None, out=overlap)
-                sums = _np.zeros(len(partitions), dtype=_np.int64)
-                _np.add.at(sums, owners, overlap)
+                overlap = (np.minimum(ends, frame_end)
+                           - np.maximum(starts, frame_start))
+                np.clip(overlap, 0, None, out=overlap)
+                sums = np.zeros(len(partitions), dtype=np.int64)
+                np.add.at(sums, owners, overlap)
                 return {partition: int(sums[i])
                         for i, partition in enumerate(partitions)}
 

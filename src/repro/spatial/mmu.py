@@ -19,6 +19,7 @@ fault handler (the PMK routes it to Health Monitoring) and raised as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..exceptions import ConfigurationError, SpatialViolationError
@@ -48,9 +49,10 @@ def _level_indices(address: int) -> Tuple[int, int, int]:
     return index1, index2, index3
 
 
-@dataclass
+@dataclass(frozen=True)
 class PageTableEntry:
-    """Leaf PTE: permissions and privilege for one 4 KiB page."""
+    """Leaf PTE: permissions and privilege for one 4 KiB page (frozen:
+    compiled tables are shared, see :func:`_compiled_table`)."""
 
     permissions: FrozenSet[AccessKind]
     level: PrivilegeLevel
@@ -105,26 +107,8 @@ class MmuContext:
 
     def __init__(self, memory_map: PartitionMemoryMap) -> None:
         self.partition = memory_map.partition
-        self.table = PageTable()
         self._descriptors = memory_map.descriptors
-        for descriptor in memory_map.descriptors:
-            self._compile(descriptor)
-
-    def _compile(self, descriptor: MemoryDescriptor) -> None:
-        """Fill PTEs for every page the descriptor touches.
-
-        Descriptors need not be page-aligned; protection granularity is
-        the page, so a partial page inherits the descriptor's rights —
-        integration tooling should align regions, and the layout-level
-        disjointness check runs on byte ranges, so no *other* partition's
-        data can share the partial page.
-        """
-        first_page = descriptor.base // PAGE_SIZE
-        last_page = (descriptor.end - 1) // PAGE_SIZE
-        entry = PageTableEntry(permissions=descriptor.permissions,
-                               level=descriptor.level)
-        for page in range(first_page, last_page + 1):
-            self.table.map_page(page * PAGE_SIZE, entry)
+        self.table = _compiled_table(self._descriptors)
 
     def descriptor_for(self, address: int) -> Optional[MemoryDescriptor]:
         """The source descriptor covering *address* (diagnostics)."""
@@ -132,6 +116,38 @@ class MmuContext:
             if descriptor.covers(address):
                 return descriptor
         return None
+
+
+#: Distinct memory maps whose compiled page tables are kept.  A campaign
+#: builds a handful (one per partition of each configuration it runs);
+#: the bound only caps a process that sweeps many layouts.
+_COMPILED_TABLES = 256
+
+
+@lru_cache(maxsize=_COMPILED_TABLES)
+def _compiled_table(descriptors: Tuple[MemoryDescriptor, ...]) -> PageTable:
+    """The page table for *descriptors*, compiled once per memory map.
+
+    Every simulator built from an equal configuration — each restore of a
+    snapshot builds one — shares the table instead of re-running
+    :meth:`PageTable.map_page` for every page.  Descriptors are frozen
+    (the cache key) and entries are frozen; nothing maps a page into a
+    table after it is compiled, so sharing is read-only.
+
+    Descriptors need not be page-aligned; protection granularity is the
+    page, so a partial page inherits the descriptor's rights —
+    integration tooling should align regions, and the layout-level
+    disjointness check runs on byte ranges, so no *other* partition's
+    data can share the partial page.
+    """
+    table = PageTable()
+    for descriptor in descriptors:
+        entry = PageTableEntry(permissions=descriptor.permissions,
+                               level=descriptor.level)
+        for page in range(descriptor.base // PAGE_SIZE,
+                          (descriptor.end - 1) // PAGE_SIZE + 1):
+            table.map_page(page * PAGE_SIZE, entry)
+    return table
 
 
 #: Fault hook: (partition, address, access kind, detail).

@@ -226,11 +226,6 @@ class TestRunWithPrefixCache:
         assert result.ok
         assert result.forked_at_tick == -1
 
-    def test_rejects_nonpositive_quantum(self):
-        # Quantization lives in the plan the executor requires.
-        with pytest.raises(ValueError, match="quantum"):
-            build_divergence_trie([self.make("s", 4 * MTF)], quantum=0)
-
     def test_extending_a_shorter_prefix_matches_a_cold_build(self):
         """A chain build extends a cached root instead of rebuilding it.
 

@@ -302,3 +302,72 @@ class TestPrefixTreeDigestEquality:
         for stats in telemetry["workers"].values():
             assert stats["prefix_cache"]["hits"] > 0
             assert stats["prefix_cache"]["misses"] == 0
+
+
+def _scan(trace, event_type):
+    """Reference count: a full isinstance scan of the retained events."""
+    return sum(1 for event in trace.events if isinstance(event, event_type))
+
+
+class TestTraceTally:
+    """The memoized tally replaces four isinstance scans per scenario; it
+    must agree with a scan on chaos runs with memory faults and HM
+    restarts, bounded or not, and feed the result counters."""
+
+    @pytest.fixture(scope="class")
+    def chaos(self):
+        from repro.campaign.scenarios import chaos_campaign
+
+        return chaos_campaign(count=6, mtfs=6)
+
+    @staticmethod
+    def run_trace(scenario, capacity=None):
+        import dataclasses
+
+        from repro.fault.injector import FaultInjector
+        from repro.kernel.simulator import Simulator
+
+        config = dataclasses.replace(scenario.build_config(),
+                                     trace_capacity=capacity)
+        simulator = Simulator(config)
+        injector = FaultInjector(simulator)
+        for tick, fault in scenario.timeline():
+            injector.schedule(tick, fault)
+        injector.run_fast(scenario.ticks)
+        return simulator.trace
+
+    @pytest.mark.parametrize("capacity", [None, 400])
+    def test_tally_matches_scans(self, chaos, capacity):
+        from repro.kernel.trace import _EVENT_TYPES, HealthMonitorEvent, \
+            MemoryFault
+        from repro.types import RecoveryAction
+
+        seen = set()
+        restarts = 0
+        for scenario in chaos:
+            trace = self.run_trace(scenario, capacity)
+            tally = trace.tally()
+            for event_type in _EVENT_TYPES.values():
+                assert tally.get(event_type, 0) == \
+                    trace.count(event_type) == _scan(trace, event_type)
+            seen.update(kind for kind, count in tally.items() if count)
+            restarts += sum(
+                1 for event in trace.of_type(HealthMonitorEvent)
+                if event.action == RecoveryAction.RESTART_PARTITION.value)
+            if capacity is not None:
+                assert len(trace) == capacity and trace.dropped
+        assert MemoryFault in seen and restarts
+
+    def test_result_counters_match_scans(self, chaos):
+        from repro.kernel.trace import DeadlineMissed, HealthMonitorEvent, \
+            MemoryFault, ScheduleSwitched
+
+        for scenario in chaos:
+            trace = self.run_trace(scenario)
+            result = run_scenario(scenario)
+            assert result.trace_digest == trace.digest()
+            assert result.deadline_misses == _scan(trace, DeadlineMissed)
+            assert result.hm_events == _scan(trace, HealthMonitorEvent)
+            assert result.schedule_switches == _scan(trace,
+                                                     ScheduleSwitched)
+            assert result.memory_faults == _scan(trace, MemoryFault)

@@ -364,3 +364,53 @@ class TestCrossProcessRestore:
             digest = pool.apply(_restore_in_child,
                                 ((payload, total - fork_tick),))
         assert digest == cold_sim.trace.digest()
+
+
+class TestSharedRestorePrefix:
+    """Restores of one snapshot share the decoded trace prefix: the same
+    event objects, each in a deque of its own, and the memo never reaches
+    the pickled bytes."""
+
+    FORK_TICK = 3 * MTF + 17
+    TOTAL = 5 * MTF
+
+    def prefix_snapshot(self):
+        prefix_sim, _ = build_sim()
+        injector = FaultInjector(prefix_sim)
+        for tick, make in CHAOS_FAULTS:
+            if tick < self.FORK_TICK:
+                injector.schedule(tick, make())
+        injector.run_fast(self.FORK_TICK)
+        return prefix_sim.snapshot()
+
+    def continue_fork(self, fork):
+        injector = FaultInjector(fork)
+        for tick, make in CHAOS_FAULTS:
+            if tick >= self.FORK_TICK:
+                injector.schedule(tick, make())
+        injector.run_fast(self.TOTAL - self.FORK_TICK)
+        return fork.trace.digest()
+
+    def test_restores_share_events_but_not_deques(self):
+        snapshot = self.prefix_snapshot()
+        first = snapshot.restore(build_sim()[1])
+        second = snapshot.restore(build_sim()[1])
+        assert first.trace._events is not second.trace._events
+        assert len(first.trace) == len(second.trace) > 0
+        assert all(a is b for a, b in zip(first.trace, second.trace))
+        # Both continue cold-identically; neither sees the other's tail.
+        assert self.continue_fork(first) == "01773628b7b9c0d1"
+        assert len(second.trace) < len(first.trace)
+        assert self.continue_fork(second) == "01773628b7b9c0d1"
+
+    def test_restore_leaves_the_pickled_bytes_unchanged(self):
+        snapshot = self.prefix_snapshot()
+        before = snapshot.to_bytes()
+        fork = snapshot.restore(build_sim()[1])
+        assert snapshot.to_bytes() == before
+        self.continue_fork(fork)
+        assert snapshot.to_bytes() == before
+        unpickled = SimulatorSnapshot.from_bytes(before)
+        assert unpickled == snapshot
+        assert self.continue_fork(unpickled.restore(build_sim()[1])) == \
+            "01773628b7b9c0d1"

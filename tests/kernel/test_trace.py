@@ -1,12 +1,18 @@
 """Tests for the structured execution trace (repro.kernel.trace)."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kernel.trace import (
+    _EVENT_TYPES,
     ApplicationMessage,
     DeadlineMissed,
     PartitionDispatched,
     Trace,
+    _field_names,
 )
 
 
@@ -534,3 +540,77 @@ class TestRebasePlan:
         for index in indices:
             rebased[index] += 50
         assert event_type(*rebased).deadline_time is None
+
+
+#: Field values the canonical encoder must escape and order exactly like
+#: ``json.dumps(sort_keys=True)``: non-ASCII text, quotes and backslashes,
+#: control characters, None, and negative and large integers.
+_FIELD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2**70, max_value=2**70),
+    st.text(max_size=12),
+    st.sampled_from(['"', "\\", '\\"q"', "\u00e9t\u00e9", "\u2028",
+                     "\x00\x1f", "\U0001f6f0", ""]),
+)
+
+
+class TestEncodePlan:
+    """The per-class encode plan builds each record with its keys already
+    sorted; the bytes must equal the sort_keys reference for every event
+    class and any field values."""
+
+    @pytest.mark.parametrize("kind", sorted(_EVENT_TYPES))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_plan_bytes_equal_sort_keys_dumps(self, kind, data):
+        event_type = _EVENT_TYPES[kind]
+        trace = Trace()
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            trace.record(event_type(**{
+                name: data.draw(_FIELD_VALUES)
+                for name in _field_names(event_type)}))
+        reference = json.dumps(trace.to_dicts(), sort_keys=True,
+                               separators=(",", ":"))
+        assert "[" + ",".join(trace._encode_pending()) + "]" == reference
+        assert trace.to_json() == json.dumps(
+            {"dropped": 0, "events": trace.to_dicts()}, sort_keys=True,
+            separators=(",", ":"))
+
+
+class TestTally:
+    def test_tally_counts_exact_classes(self):
+        trace = Trace()
+        for tick in range(3):
+            trace.record(dispatched(tick))
+        trace.record(missed(5))
+        assert trace.tally() == {PartitionDispatched: 3, DeadlineMissed: 1}
+        assert trace.count(PartitionDispatched) == 3
+        assert trace.summary()["counts"] == {"DeadlineMissed": 1,
+                                             "PartitionDispatched": 3}
+
+    def test_tally_is_memoized_until_the_log_changes(self):
+        trace = Trace()
+        trace.record(dispatched(1))
+        first = trace.tally()
+        assert trace.tally() is first
+        trace.record(missed(2))
+        assert trace.tally() == {PartitionDispatched: 1, DeadlineMissed: 1}
+        trace.clear()
+        assert trace.tally() == {}
+
+    def test_count_keeps_subclass_semantics(self):
+        from repro.kernel.trace import TraceEvent
+
+        trace = Trace()
+        trace.record(dispatched(1))
+        trace.record(missed(2))
+        assert trace.count(TraceEvent) == 2
+        assert trace.count(ApplicationMessage) == 0
+
+    def test_bounded_tally_counts_only_retained_events(self):
+        trace = Trace(capacity=2)
+        for tick in range(4):
+            trace.record(dispatched(tick))
+        trace.record(missed(9))
+        assert trace.tally() == {PartitionDispatched: 1, DeadlineMissed: 1}

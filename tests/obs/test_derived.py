@@ -1,5 +1,10 @@
 """Tests for offline derived metrics (repro.obs.derived)."""
 
+import os
+import subprocess
+import sys
+
+import repro
 from repro.apps.prototype import (
     MTF,
     build_prototype,
@@ -223,3 +228,17 @@ class TestVectorizationEquality:
         with_numpy = [distribution(s) for s in samples]
         monkeypatch.setattr(derived_module, "_np", None)
         assert [distribution(s) for s in samples] == with_numpy
+
+
+def test_cli_and_campaign_imports_leave_numpy_unloaded():
+    # numpy is imported by the first vectorized computation, not by the
+    # import chain campaign -> artifacts -> telemetry -> derived.
+    source_root = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (source_root, env.get("PYTHONPATH"))))
+    probe = ("import sys, repro.__main__, repro.campaign; "
+             "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

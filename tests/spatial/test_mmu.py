@@ -1,5 +1,7 @@
 """Tests for the simulated 3-level MMU (repro.spatial.mmu)."""
 
+import dataclasses
+
 import pytest
 
 from repro.exceptions import ConfigurationError, SpatialViolationError
@@ -9,7 +11,7 @@ from repro.spatial.descriptors import (
     PartitionMemoryMap,
 )
 from repro.spatial.mmu import PAGE_SIZE, Mmu, PageTable, PageTableEntry
-from repro.types import AccessKind, PrivilegeLevel
+from repro.types import AccessKind, ErrorCode, PrivilegeLevel
 
 
 def make_map(partition="P1", base=0x10000, size=0x4000):
@@ -132,3 +134,37 @@ class TestContextManagement:
         context = mmu.context_of("P1")
         assert context.descriptor_for(0x14000).section is MemorySection.DATA
         assert context.descriptor_for(0xDEAD0000) is None
+
+
+class TestSharedPageTables:
+    """Page tables are compiled once per memory map and shared."""
+
+    def test_equal_maps_share_one_compiled_table(self):
+        first, second = Mmu(), Mmu()
+        first.add_context(make_map("P1"))
+        second.add_context(make_map("P1"))
+        assert first.context_of("P1").table is second.context_of("P1").table
+
+    def test_page_table_entries_are_frozen(self, mmu):
+        entry = mmu.context_of("P1").table.lookup(0x10000)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.level = PrivilegeLevel.PMK
+
+    def test_equal_configs_share_tables_and_still_route_faults_to_hm(self):
+        from repro.apps.prototype import build_prototype, make_simulator
+        from repro.fault.faults import MemoryViolationFault
+        from repro.kernel.trace import HealthMonitorEvent, MemoryFault
+
+        quiet = make_simulator(build_prototype())
+        attacked = make_simulator(build_prototype())
+        for partition in quiet.pmk.layout.partitions:
+            assert quiet.pmk.mmu.context_of(partition).table is \
+                attacked.pmk.mmu.context_of(partition).table
+        attacked.run_fast(100)
+        outcome = MemoryViolationFault("P4").apply(attacked)
+        assert "trapped by MMU" in outcome
+        assert attacked.pmk.mmu.fault_count == 1
+        assert attacked.trace.count(MemoryFault) == 1
+        assert any(event.code == ErrorCode.MEMORY_VIOLATION.value
+                   for event in attacked.trace.of_type(HealthMonitorEvent))
+        assert quiet.pmk.mmu.fault_count == 0
